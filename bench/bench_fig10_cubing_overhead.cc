@@ -24,6 +24,7 @@
 #include "cube/real_run.h"
 #include "exec/vector_ops.h"
 #include "sampling/random_sampler.h"
+#include "testing/legacy_dry_run.h"
 
 namespace {
 
@@ -93,8 +94,8 @@ double CompareBuildEngines(const Table& table, double theta) {
                                   global_sample, theta);
     double ms1 = t1.ElapsedMillis();
     Stopwatch t2;
-    auto flat = RunDryRun(table, *encoder, *packer, lattice, *loss,
-                          global_sample, theta);
+    auto flat = RunDryRun(DatasetView(&table), *encoder, *packer, lattice,
+                          *loss, global_sample, theta);
     double ms2 = t2.ElapsedMillis();
     if (!legacy.ok() || !flat.ok()) {
       std::printf("dry-run engine ERROR: %s\n",
@@ -136,15 +137,15 @@ double CompareBuildEngines(const Table& table, double theta) {
   RealRunResult scalar_real, vec_real;
   for (int rep = 0; rep < 5; ++rep) {
     Stopwatch t1;
-    auto scalar = RunRealRun(table, *encoder, *packer, lattice, flat_result,
-                             *loss, theta, sampler_opts,
+    auto scalar = RunRealRun(DatasetView(&table), *encoder, *packer, lattice,
+                             flat_result, *loss, theta, sampler_opts,
                              RealRunPathPolicy::kAuto,
                              RealRunEngine::kScalarReference);
     double ms1 = t1.ElapsedMillis();
     Stopwatch t2;
-    auto vectorized = RunRealRun(table, *encoder, *packer, lattice,
-                                 flat_result, *loss, theta, sampler_opts,
-                                 RealRunPathPolicy::kAuto,
+    auto vectorized = RunRealRun(DatasetView(&table), *encoder, *packer,
+                                 lattice, flat_result, *loss, theta,
+                                 sampler_opts, RealRunPathPolicy::kAuto,
                                  RealRunEngine::kVectorized);
     double ms2 = t2.ElapsedMillis();
     if (!scalar.ok() || !vectorized.ok()) {

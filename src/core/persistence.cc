@@ -1,9 +1,9 @@
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 
 #include "common/binary_io.h"
 #include "common/stopwatch.h"
+#include "core/cube_codec.h"
 #include "core/fingerprint.h"
 #include "core/tabula.h"
 #include "testing/fault_injection.h"
@@ -73,114 +73,70 @@ uint64_t RowListFingerprint(const std::vector<RowId>& rows) {
   return h;
 }
 
+Status Tabula::AdoptOrBuildGrid(std::optional<SpatialGrid> saved,
+                                const std::vector<RowId>* rows) {
+  SpatialGrid::Context ctx = SpatialContext();
+  const SpatialGridOptions& want = options_.spatial;
+  if (saved.has_value() && saved->options().levels == want.levels &&
+      saved->options().x_column == want.x_column &&
+      saved->options().y_column == want.y_column) {
+    grid_ = std::move(*saved);
+    TABULA_RETURN_NOT_OK(grid_.RebuildTransient(ctx, rows));
+  } else {
+    TABULA_ASSIGN_OR_RETURN(grid_, SpatialGrid::Build(ctx, want, rows));
+  }
+  stats_.spatial_cells = grid_.TotalCells();
+  stats_.spatial_sample_tuples = grid_.SampleTuples();
+  return Status::OK();
+}
+
 Status Tabula::Save(const std::string& path) const {
-  // Write-temp-then-rename: the destination is replaced atomically only
-  // after every byte landed, so a failure mid-write (a full disk, an
-  // injected "persistence.write" fault) leaves any prior cube file at
-  // `path` intact instead of half-overwritten.
-  const std::string tmp = path + ".tmp";
   // Tier records and sample slots must snapshot consistently against
   // concurrent lazy promotes.
   std::shared_lock<std::shared_mutex> store_lock;
   if (store_enabled()) {
     store_lock = std::shared_lock<std::shared_mutex>(*store_mu_);
   }
-  Status written = [&]() -> Status {
-    TABULA_FAULT_POINT("persistence.open");
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open '" + tmp + "' for writing");
-    }
-    BinaryWriter w(&out);
-    w.WriteU32(kMagic);
-    w.WriteU32(store_enabled() ? kVersion : kPreStoreVersion);
-    // The cube describes exactly the rows it has folded in; fingerprint
-    // that prefix so pending (appended-but-unfolded) rows don't tie the
-    // file to a table state the cube never saw.
-    w.WriteU64(refreshed_rows_);
-    w.WriteU64(TableFingerprint(*table_, refreshed_rows_));
-    w.WriteString(loss_fn()->name());
-    w.WriteDouble(options_.threshold);
-    w.WriteU64(options_.cubed_attributes.size());
-    for (const auto& attr : options_.cubed_attributes) w.WriteString(attr);
-
-    w.WriteVector(global_sample_rows_);
+  return SaveAtomically(path, [&](BinaryWriter* w) -> Status {
+    WriteCubeHeader(w, kMagic, store_enabled() ? kVersion : kPreStoreVersion,
+                    *table_, refreshed_rows_, options_);
+    w->WriteVector(global_sample_rows_);
     TABULA_FAULT_POINT("persistence.write");
 
-    w.WriteU64(cube_.size());
-    for (const auto& cell : cube_.cells()) {
-      w.WriteU64(cell.key);
-      w.WriteU32(cell.cuboid);
-      w.WriteU32(cell.sample_id);
-    }
+    CubeSectionWriter sections(w);
+    sections.Cells(cube_, samples_);
     TABULA_FAULT_POINT("persistence.write");
-    w.WriteU64(samples_.size());
-    for (uint32_t id = 0; id < samples_.size(); ++id) {
-      w.WriteVector(samples_.sample(id));
-    }
 
     // Stats snapshot so a loaded cube still reports its build costs.
-    w.WriteDouble(stats_.dry_run_millis);
-    w.WriteDouble(stats_.real_run_millis);
-    w.WriteDouble(stats_.selection_millis);
-    w.WriteU64(stats_.total_cells);
-    w.WriteU64(stats_.iceberg_cells);
-    w.WriteU64(stats_.iceberg_cuboids);
-    w.WriteU64(stats_.cells_sharing_samples);
+    w->WriteDouble(stats_.dry_run_millis);
+    w->WriteDouble(stats_.real_run_millis);
+    w->WriteDouble(stats_.selection_millis);
+    w->WriteU64(stats_.total_cells);
+    w->WriteU64(stats_.iceberg_cells);
+    w->WriteU64(stats_.iceberg_cuboids);
+    w->WriteU64(stats_.cells_sharing_samples);
     TABULA_FAULT_POINT("persistence.write");
 
-    // v3: the spatial grid travels as one length-prefixed blob so a
-    // pre-spatial reader could skip it wholesale if it tolerated the
-    // version (it does not — version gating keeps misparses impossible).
-    w.WriteU32(grid_.present() ? 1u : 0u);
-    if (grid_.present()) {
-      BufferWriter gw;
-      grid_.EncodeTo(&gw);
-      w.WriteString(std::string(gw.data(), gw.size()));
-    }
+    // v3: the spatial grid blob.
+    sections.Grid(grid_);
     TABULA_FAULT_POINT("persistence.write");
 
     // v4: one tier record per sample slot. Cold slots saved their
     // (empty) sample vector above; the spill pointer lets a load
     // restore the demoted bytes without re-sampling.
     if (store_enabled()) {
-      w.WriteU64(samples_.size());
-      for (uint32_t id = 0; id < samples_.size(); ++id) {
-        SampleStore::TierRecord rec = store_.record(id);
-        w.WriteU32(static_cast<uint32_t>(rec.tier));
-        w.WriteU64(rec.spill_offset);
-        w.WriteU64(rec.spill_len);
-      }
+      sections.Tiers(store_, samples_.size(), TierSection::kCubeFile);
       TABULA_FAULT_POINT("persistence.write");
     }
-
-    out.flush();
-    if (!w.ok() || !out) {
-      return Status::IOError("write failed for '" + tmp + "'");
-    }
     return Status::OK();
-  }();
-  std::error_code ec;
-  if (!written.ok()) {
-    std::filesystem::remove(tmp, ec);  // best effort; ignore errors
-    return written;
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::string reason = ec.message();
-    std::filesystem::remove(tmp, ec);
-    return Status::IOError("cannot move '" + tmp + "' over '" + path +
-                           "': " + reason);
-  }
-  return Status::OK();
+  });
 }
 
 Result<std::unique_ptr<Tabula>> Tabula::Load(const Table& table,
                                              TabulaOptions options,
                                              const std::string& path,
                                              bool resume_partial) {
-  const LossFunction* loss = options.effective_loss();
-  if (loss == nullptr) {
+  if (options.effective_loss() == nullptr) {
     return Status::InvalidArgument("TabulaOptions.loss must be set");
   }
   Stopwatch timer;
@@ -188,112 +144,23 @@ Result<std::unique_ptr<Tabula>> Tabula::Load(const Table& table,
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "' for reading");
   BinaryReader r(&in);
+  TABULA_ASSIGN_OR_RETURN(CubeHeader header,
+                          ReadCubeHeader(&r, kMagic, kVersion, table, options,
+                                         resume_partial, "cube file"));
+  const uint32_t version = header.version;
+  const uint64_t saved_rows = header.rows;
 
-  TABULA_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  TABULA_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (magic != kMagic) {
-    return Status::ParseError("'" + path + "' is not a Tabula cube file");
-  }
-  if (version < 1 || version > kVersion) {
-    return Status::ParseError("unsupported cube file version " +
-                              std::to_string(version));
-  }
-  // v1 files cover the whole table by construction; v2 files record the
-  // row count the cube had folded at save time.
-  uint64_t saved_rows = table.num_rows();
-  if (version >= 2) {
-    TABULA_ASSIGN_OR_RETURN(saved_rows, r.ReadU64());
-  }
-  if (saved_rows > table.num_rows()) {
-    return Status::InvalidArgument(
-        "cube file covers " + std::to_string(saved_rows) +
-        " rows but the table only has " + std::to_string(table.num_rows()));
-  }
-  if (saved_rows != table.num_rows() && !resume_partial) {
-    return Status::InvalidArgument(
-        "cube file covers only " + std::to_string(saved_rows) + " of " +
-        std::to_string(table.num_rows()) +
-        " rows (stale cube); pass resume_partial to load it and Refresh() "
-        "to catch up");
-  }
-  TABULA_ASSIGN_OR_RETURN(uint64_t fingerprint, r.ReadU64());
-  const uint64_t want_fingerprint =
-      version >= 2 ? TableFingerprint(table, saved_rows)
-                   : TableFingerprint(table);
-  if (fingerprint != want_fingerprint) {
-    return Status::InvalidArgument(
-        "cube file was built on a different table (fingerprint mismatch); "
-        "re-run Initialize()");
-  }
-  TABULA_ASSIGN_OR_RETURN(std::string loss_name, r.ReadString());
-  if (loss_name != loss->name()) {
-    return Status::InvalidArgument("cube was built with loss '" + loss_name +
-                                   "', options specify '" + loss->name() +
-                                   "'");
-  }
-  TABULA_ASSIGN_OR_RETURN(double threshold, r.ReadDouble());
-  if (threshold != options.threshold) {
-    return Status::InvalidArgument(
-        "cube was built with threshold " + std::to_string(threshold) +
-        ", options specify " + std::to_string(options.threshold));
-  }
-  TABULA_ASSIGN_OR_RETURN(uint64_t num_attrs, r.ReadU64());
-  std::vector<std::string> attrs(num_attrs);
-  for (auto& attr : attrs) {
-    TABULA_ASSIGN_OR_RETURN(attr, r.ReadString());
-  }
-  if (attrs != options.cubed_attributes) {
-    return Status::InvalidArgument(
-        "cube file's cubed attributes differ from options");
-  }
-
-  auto tabula = std::unique_ptr<Tabula>(new Tabula());
-  tabula->table_ = &table;
-  tabula->options_ = std::move(options);
-  TABULA_ASSIGN_OR_RETURN(tabula->encoder_, KeyEncoder::Make(table, attrs));
-  std::vector<size_t> all_cols(attrs.size());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  TABULA_ASSIGN_OR_RETURN(tabula->packer_,
-                          KeyPacker::Make(tabula->encoder_, all_cols));
-
-  TABULA_ASSIGN_OR_RETURN(tabula->global_sample_rows_,
+  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> global_rows,
                           r.ReadVector<RowId>());
-  for (RowId row : tabula->global_sample_rows_) {
-    if (row >= saved_rows) {
-      return Status::DataLoss("cube file's global sample references row " +
-                              std::to_string(row) + " beyond the table");
-    }
-  }
-  tabula->global_sample_ =
-      DatasetView(&table, tabula->global_sample_rows_);
-
-  TABULA_ASSIGN_OR_RETURN(uint64_t num_cells, r.ReadU64());
-  for (uint64_t i = 0; i < num_cells; ++i) {
-    IcebergCell cell;
-    TABULA_ASSIGN_OR_RETURN(cell.key, r.ReadU64());
-    TABULA_ASSIGN_OR_RETURN(cell.cuboid, r.ReadU32());
-    TABULA_ASSIGN_OR_RETURN(cell.sample_id, r.ReadU32());
-    tabula->cube_.Add(std::move(cell));
-  }
-  TABULA_ASSIGN_OR_RETURN(uint64_t num_samples, r.ReadU64());
-  for (uint64_t i = 0; i < num_samples; ++i) {
-    TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows, r.ReadVector<RowId>());
-    // Validate row ids against the covered prefix before trusting the
-    // file (samples can only reference rows the cube had folded).
-    for (RowId row : rows) {
-      if (row >= saved_rows) {
-        return Status::DataLoss("cube file references row " +
-                                std::to_string(row) + " beyond the table");
-      }
-    }
-    tabula->samples_.Add(std::move(rows));
-  }
-  for (const auto& cell : tabula->cube_.cells()) {
-    if (cell.sample_id != kInvalidSampleId &&
-        cell.sample_id >= tabula->samples_.size()) {
-      return Status::DataLoss("cube file has a dangling sample link");
-    }
-  }
+  CubeSectionReader sections(&r, saved_rows, "cube file");
+  TABULA_RETURN_NOT_OK(sections.CheckRows(global_rows, "'s global sample"));
+  TABULA_ASSIGN_OR_RETURN(KeyEncoder encoder,
+                          KeyEncoder::Make(table, options.cubed_attributes));
+  TABULA_ASSIGN_OR_RETURN(
+      std::unique_ptr<Tabula> tabula,
+      NewPartition(table, std::move(options), std::move(encoder),
+                   std::move(global_rows), std::nullopt));
+  TABULA_RETURN_NOT_OK(sections.Cells(&tabula->cube_, &tabula->samples_));
 
   TabulaInitStats& stats = tabula->stats_;
   TABULA_ASSIGN_OR_RETURN(stats.dry_run_millis, r.ReadDouble());
@@ -304,109 +171,39 @@ Result<std::unique_ptr<Tabula>> Tabula::Load(const Table& table,
   TABULA_ASSIGN_OR_RETURN(stats.iceberg_cuboids, r.ReadU64());
   TABULA_ASSIGN_OR_RETURN(stats.cells_sharing_samples, r.ReadU64());
 
-  // Spatial grid: adopt the persisted samples when the file carries a
-  // grid matching the configured geometry; otherwise (pre-v3 file, or
-  // the options changed the grid shape) rebuild it from the table —
-  // Build is deterministic, so the result equals what a save-side
-  // engine with these options held.
-  SpatialGrid saved_grid;
-  bool have_saved_grid = false;
+  // Spatial grid (v3+): the persisted samples when they match the
+  // configured geometry, else a deterministic rebuild. The grid
+  // describes exactly the covered prefix, like the cube.
+  std::optional<SpatialGrid> saved_grid;
   if (version >= 3) {
-    TABULA_ASSIGN_OR_RETURN(uint32_t has_grid, r.ReadU32());
-    if (has_grid != 0) {
-      TABULA_ASSIGN_OR_RETURN(std::string blob, r.ReadString());
-      BufferReader gr(blob);
-      TABULA_ASSIGN_OR_RETURN(saved_grid, SpatialGrid::DecodeFrom(&gr));
-      have_saved_grid = true;
-    }
+    TABULA_ASSIGN_OR_RETURN(saved_grid, sections.Grid());
   }
   if (tabula->options_.spatial.levels > 0) {
-    // The grid describes exactly the covered prefix, like the cube.
     std::vector<RowId> prefix;
-    const std::vector<RowId>* rows_ptr = nullptr;
     if (saved_rows != table.num_rows()) {
       prefix.reserve(saved_rows);
       for (RowId row = 0; row < saved_rows; ++row) prefix.push_back(row);
-      rows_ptr = &prefix;
     }
-    SpatialGrid::Context ctx = tabula->SpatialContext();
-    const SpatialGridOptions& want = tabula->options_.spatial;
-    const SpatialGridOptions& got = saved_grid.options();
-    if (have_saved_grid && got.levels == want.levels &&
-        got.x_column == want.x_column && got.y_column == want.y_column) {
-      for (uint32_t l = 0; l < saved_grid.num_levels(); ++l) {
-        uint32_t cells = (1u << l) * (1u << l);
-        for (uint32_t i = 0; i < cells; ++i) {
-          for (RowId row : saved_grid.cell(l, i).sample) {
-            if (row >= saved_rows) {
-              return Status::DataLoss(
-                  "cube file's spatial grid references row " +
-                  std::to_string(row) + " beyond the covered prefix");
-            }
-          }
-        }
-      }
-      tabula->grid_ = std::move(saved_grid);
-      TABULA_RETURN_NOT_OK(tabula->grid_.RebuildTransient(ctx, rows_ptr));
-    } else {
-      TABULA_ASSIGN_OR_RETURN(
-          tabula->grid_, SpatialGrid::Build(ctx, want, rows_ptr));
-    }
-    stats.spatial_cells = tabula->grid_.TotalCells();
-    stats.spatial_sample_tuples = tabula->grid_.SampleTuples();
+    TABULA_RETURN_NOT_OK(tabula->AdoptOrBuildGrid(
+        std::move(saved_grid),
+        saved_rows != table.num_rows() ? &prefix : nullptr));
   }
 
   // v4: tier records. A store-enabled engine adopts them (cold cells
   // stay cold, spill pointers restore without re-sampling); a
   // disabled-store engine accepts only all-kWarm files — anything else
   // would silently serve cold cells' empty slots.
-  const bool want_store = tabula->options_.store.budget_bytes > 0;
   if (version >= 4) {
-    TABULA_ASSIGN_OR_RETURN(uint64_t num_recs, r.ReadU64());
-    if (num_recs != tabula->samples_.size()) {
-      return Status::DataLoss(
-          "cube file's tier records do not match its sample table");
-    }
-    std::vector<SampleStore::TierRecord> tier_recs(num_recs);
-    bool any_nonwarm = false;
-    for (uint64_t i = 0; i < num_recs; ++i) {
-      TABULA_ASSIGN_OR_RETURN(uint32_t tier_word, r.ReadU32());
-      if (tier_word > static_cast<uint32_t>(SampleTier::kCold)) {
-        return Status::ParseError("cube file has an unknown sample tier " +
-                                  std::to_string(tier_word));
-      }
-      tier_recs[i].tier = static_cast<SampleTier>(tier_word);
-      TABULA_ASSIGN_OR_RETURN(tier_recs[i].spill_offset, r.ReadU64());
-      TABULA_ASSIGN_OR_RETURN(tier_recs[i].spill_len, r.ReadU64());
-      any_nonwarm |= tier_recs[i].tier != SampleTier::kWarm;
-    }
-    if (!want_store) {
-      if (any_nonwarm) {
-        return Status::InvalidArgument(
-            "cube file carries demoted/hot sample tiers; loading it "
-            "requires TabulaOptions.store.budget_bytes > 0");
-      }
-      // All-warm v4 ≡ v3; nothing to adopt.
-    } else {
-      TABULA_RETURN_NOT_OK(tabula->store_.Configure(
-          tabula->options_.store, /*truncate_spill=*/false));
-      std::vector<uint32_t> refs(tabula->samples_.size(), 0);
-      for (const auto& cell : tabula->cube_.cells()) {
-        if (cell.sample_id != kInvalidSampleId) ++refs[cell.sample_id];
-      }
-      const uint64_t load_tuple_bytes = tabula->BytesPerTuple();
-      for (uint32_t id = 0; id < tabula->samples_.size(); ++id) {
-        tabula->store_.Adopt(
-            id, tier_recs[id],
-            tabula->samples_.sample(id).size() * load_tuple_bytes, refs[id]);
-      }
-      // A torn / truncated cold-spill side file surfaces here, before
-      // any answer could be served from it.
-      TABULA_RETURN_NOT_OK(tabula->store_.ValidateSpill());
+    TABULA_ASSIGN_OR_RETURN(
+        std::vector<SampleStore::TierRecord> tier_recs,
+        sections.Tiers(tabula->samples_, TierSection::kCubeFile,
+                       tabula->store_enabled()));
+    // All-warm v4 ≡ v3 for a disabled store; nothing to adopt.
+    if (tabula->store_enabled()) {
+      TABULA_RETURN_NOT_OK(tabula->AdoptTierRecords(tier_recs));
     }
   }
 
-  stats.global_sample_tuples = tabula->global_sample_.size();
   stats.representative_samples = tabula->samples_.size();
   uint64_t tuple_bytes = tabula->BytesPerTuple();
   stats.global_sample_bytes = tabula->global_sample_.size() * tuple_bytes;

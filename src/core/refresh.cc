@@ -101,6 +101,101 @@ Status Tabula::BuildMaintenanceState() {
   return Status::OK();
 }
 
+Result<bool> Tabula::RemakeEncoder(const Table& table,
+                                   const TabulaOptions& options,
+                                   const KeyEncoder& current,
+                                   KeyEncoder* fresh) {
+  TABULA_ASSIGN_OR_RETURN(*fresh,
+                          KeyEncoder::Make(table, options.cubed_attributes));
+  for (size_t k = 0; k < fresh->num_columns(); ++k) {
+    if (fresh->Cardinality(k) != current.Cardinality(k)) return true;
+  }
+  return false;
+}
+
+std::vector<RowId> Tabula::DrawGlobalSample(const Table& table,
+                                            const TabulaOptions& options,
+                                            const std::vector<RowId>& prior,
+                                            size_t n0, size_t n1) {
+  // Bottom-k is decomposable: every row of [0, n0) outside the prior
+  // sample was already beaten by a member's priority and can never
+  // re-enter, so scanning (prior sample ∪ appended rows) reproduces the
+  // full-table draw exactly in O(k + batch). The prior sample is itself
+  // the bottom-k of [0, n0) — Initialize and every adopted redraw use
+  // this same seed and size.
+  std::vector<RowId> cand = prior;
+  cand.reserve(cand.size() + (n1 - n0));
+  for (size_t r = n0; r < n1; ++r) cand.push_back(static_cast<RowId>(r));
+  return ConsistentBottomKSample(
+      DatasetView(&table, std::move(cand)),
+      SerflingSampleSize(options.serfling_epsilon, options.serfling_delta),
+      options.seed);
+}
+
+std::vector<FlatHashMap<LossState>> Tabula::RollUpLattice(
+    const KeyPacker& packer, const Lattice& lattice,
+    FlatHashMap<LossState> finest, std::vector<FlatHashSet>* dirty) {
+  const size_t n_attrs = lattice.num_attributes();
+  std::vector<FlatHashMap<LossState>> maps(lattice.num_cuboids());
+  maps[lattice.finest()] = std::move(finest);
+  for (CuboidMask mask : lattice.TopDownOrder()) {
+    if (mask == lattice.finest()) continue;
+    // Roll up from the parent that re-adds the lowest missing attribute
+    // — the dry run's single-parent evaluation, so per-key state folds
+    // happen in an order that is a pure function of the key layout.
+    size_t j = 0;
+    while (j < n_attrs && (mask & (CuboidMask{1} << j))) ++j;
+    CuboidMask parent = mask | (CuboidMask{1} << j);
+    FlatHashMap<LossState>& my_map = maps[mask];
+    my_map.reserve(maps[parent].size());
+    maps[parent].ForEach([&](uint64_t key, const LossState& state) {
+      auto [slot, inserted] = my_map.TryEmplace(packer.WithNull(key, j));
+      if (inserted) {
+        *slot = state;
+      } else {
+        slot->Merge(state);
+      }
+    });
+    if (dirty != nullptr) {
+      for (uint64_t key : (*dirty)[parent].SortedKeys()) {
+        (*dirty)[mask].Insert(packer.WithNull(key, j));
+      }
+    }
+  }
+  return maps;
+}
+
+Status Tabula::FoldPartitionStates() {
+  Lattice lattice(options_.cubed_attributes.size());
+  TABULA_ASSIGN_OR_RETURN(
+      DryRunResult dry,
+      RunDryRun(PartitionView(), encoder_, packer_, lattice, *loss_fn(),
+                global_sample_, options_.threshold,
+                /*keep_lattice=*/true));
+  finest_states_ = std::move(dry.finest_states);
+  present_cells_ = std::move(dry.present_cells);
+  return Status::OK();
+}
+
+void Tabula::CollectCellRows(const FlatHashMap<CuboidMask>& cells,
+                             FlatHashMap<std::vector<RowId>>* out) const {
+  std::vector<CuboidMask> affected;
+  cells.ForEach(
+      [&](uint64_t, const CuboidMask& mask) { affected.push_back(mask); });
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
+  const DatasetView view = PartitionView();
+  for (CuboidMask mask : affected) {
+    for (size_t i = 0; i < view.size(); ++i) {
+      const RowId r = view.row(i);
+      uint64_t key = packer_.PackRowMasked(encoder_, r, mask);
+      const CuboidMask* cm = cells.Find(key);
+      if (cm != nullptr && *cm == mask) (*out)[key].push_back(r);
+    }
+  }
+}
+
 Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   auto owned = std::make_unique<TabulaIngestPlan>();
   TabulaIngestPlan& plan = *owned;
@@ -138,17 +233,9 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   }
   TABULA_FAULT_POINT("refresh.begin");
 
-  // Re-make the encoder: appended rows need fresh int64 code maps, and
-  // this is where unseen attribute values surface.
   TABULA_ASSIGN_OR_RETURN(
-      plan.new_encoder, KeyEncoder::Make(*table_, options_.cubed_attributes));
-  bool layout_changed = false;
-  for (size_t k = 0; k < plan.new_encoder.num_columns(); ++k) {
-    if (plan.new_encoder.Cardinality(k) != encoder_.Cardinality(k)) {
-      layout_changed = true;
-      break;
-    }
-  }
+      bool layout_changed,
+      RemakeEncoder(*table_, options_, encoder_, &plan.new_encoder));
   if (layout_changed) {
     // A new attribute value shifts the packed-key layout: every stored
     // key would be stale. ExecuteIngest rebuilds from scratch; the
@@ -170,19 +257,8 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   // full re-accumulation to rebind, so they keep the original sample;
   // the θ guarantee holds either way.
   if (!loss_fn()->StateDependsOnReference()) {
-    size_t global_size = SerflingSampleSize(options_.serfling_epsilon,
-                                            options_.serfling_delta);
-    // Bottom-k is decomposable: every row of [0, n0) outside the
-    // current sample was already beaten by a member's priority and can
-    // never re-enter, so scanning (current sample ∪ appended rows)
-    // reproduces the full-table draw exactly in O(k + batch). The
-    // current sample is itself the bottom-k of [0, n0) — Initialize and
-    // every adopted redraw use this same seed and size.
-    std::vector<RowId> cand = global_sample_rows_;
-    cand.reserve(cand.size() + (n1 - n0));
-    for (size_t r = n0; r < n1; ++r) cand.push_back(static_cast<RowId>(r));
-    plan.staged_global_rows = ConsistentBottomKSample(
-        DatasetView(table_, std::move(cand)), global_size, options_.seed);
+    plan.staged_global_rows =
+        DrawGlobalSample(*table_, options_, global_sample_rows_, n0, n1);
     plan.staged_global = DatasetView(table_, plan.staged_global_rows);
     TABULA_ASSIGN_OR_RETURN(plan.staged_bound,
                             loss_fn()->Bind(*table_, plan.staged_global));
@@ -240,30 +316,10 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   //    ordering derived below is thread-count independent.
   Lattice lattice(options_.cubed_attributes.size());
   const size_t n_attrs = lattice.num_attributes();
-  std::vector<FlatHashMap<LossState>> maps(lattice.num_cuboids());
   std::vector<FlatHashSet> dirty(lattice.num_cuboids());
-  maps[lattice.finest()] = plan.staged_finest;  // copy: roll-up consumes it
   dirty[lattice.finest()] = std::move(dirty_finest);
-  for (CuboidMask mask : lattice.TopDownOrder()) {
-    if (mask == lattice.finest()) continue;
-    size_t j = 0;
-    while (j < n_attrs && (mask & (CuboidMask{1} << j))) ++j;
-    CuboidMask parent = mask | (CuboidMask{1} << j);
-    FlatHashMap<LossState>& my_map = maps[mask];
-    my_map.reserve(maps[parent].size());
-    maps[parent].ForEach([&](uint64_t key, const LossState& state) {
-      uint64_t rolled = packer_.WithNull(key, j);
-      auto [slot, inserted] = my_map.TryEmplace(rolled);
-      if (inserted) {
-        *slot = state;
-      } else {
-        slot->Merge(state);
-      }
-    });
-    for (uint64_t key : dirty[parent].SortedKeys()) {
-      dirty[mask].Insert(packer_.WithNull(key, j));
-    }
-  }
+  std::vector<FlatHashMap<LossState>> maps =
+      RollUpLattice(packer_, lattice, plan.staged_finest, &dirty);
 
   // Classify the work per cuboid. Drops are only recorded here; the
   // cube itself mutates in the commit block.
@@ -564,7 +620,7 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
         store_.Untrack(id);
       }
     }
-    EnforceStoreBudgetLocked(0, kInvalidSampleId);
+    EnforceStoreBudgetLocked(&store_, &samples_);
   }
   if (p->has_spatial_delta) {
     grid_.CommitAppend(std::move(p->spatial_delta));
@@ -596,6 +652,12 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
 }
 
 Status Tabula::Refresh(RefreshStats* stats) {
+  return RunRefresh(this, options_.tracer, stats, nullptr);
+}
+
+Status Tabula::RunRefresh(
+    QueryEngine* engine, Tracer* tracer, RefreshStats* stats,
+    const std::function<void(IngestPlan*, Span*)>& on_plan) {
   Stopwatch timer;
   RefreshStats local;
   RefreshStats* out = stats != nullptr ? stats : &local;
@@ -605,9 +667,7 @@ Status Tabula::Refresh(RefreshStats* stats) {
   // an enabled tracer. Ended via `finish` on every success path so the
   // span-derived duration and RefreshStats::millis agree when traced.
   Span span;
-  if (options_.tracer != nullptr) {
-    span = options_.tracer->StartSpan("tabula.refresh");
-  }
+  if (tracer != nullptr) span = tracer->StartSpan("tabula.refresh");
   auto finish = [&]() {
     if (span.recording()) {
       span.SetAttribute("new_rows", out->new_rows);
@@ -624,15 +684,20 @@ Status Tabula::Refresh(RefreshStats* stats) {
 
   // Batch maintenance is exactly the streaming protocol run
   // back-to-back under the caller's one exclusive section.
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<IngestPlan> plan, PlanIngest());
+  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<IngestPlan> plan,
+                          engine->PlanIngest());
+  if (on_plan) on_plan(plan.get(), &span);
   if (plan->no_op) {
     out->new_rows = 0;
     finish();
     return Status::OK();
   }
-  BeginIngest(plan.get());
-  TABULA_RETURN_NOT_OK(ExecuteIngest(plan.get()));
-  TABULA_RETURN_NOT_OK(CommitIngest(std::move(plan), out));
+  engine->BeginIngest(plan.get());
+  // On failure the staged plan dies here; the published dirty set stays
+  // — answers keep tagging stale (rows still pend) until a later cycle
+  // commits or re-plans.
+  TABULA_RETURN_NOT_OK(engine->ExecuteIngest(plan.get()));
+  TABULA_RETURN_NOT_OK(engine->CommitIngest(std::move(plan), out));
   finish();
   return Status::OK();
 }

@@ -40,12 +40,22 @@ Status Tabula::AssignInitialTiers() {
   // finest_states_ must keep covering exactly [0, refreshed_rows_) for
   // a resume_partial load). Indexing past refreshed_rows_ is harmless:
   // GatherCellRows caps at the folded prefix, and PlanIngest's
-  // watermark makes the extension idempotent.
-  for (size_t r = finest_rows_indexed_; r < table_->num_rows(); ++r) {
-    finest_rows_[packer_.PackRow(encoder_, static_cast<RowId>(r))].push_back(
-        static_cast<RowId>(r));
+  // watermark makes the extension idempotent. A partition's row list is
+  // fixed for its lifetime, so it is indexed once.
+  if (partition_rows_.has_value()) {
+    if (finest_rows_indexed_ == 0) {
+      for (RowId r : *partition_rows_) {
+        finest_rows_[packer_.PackRow(encoder_, r)].push_back(r);
+      }
+      finest_rows_indexed_ = partition_rows_->size();
+    }
+  } else {
+    for (size_t r = finest_rows_indexed_; r < table_->num_rows(); ++r) {
+      finest_rows_[packer_.PackRow(encoder_, static_cast<RowId>(r))]
+          .push_back(static_cast<RowId>(r));
+    }
+    finest_rows_indexed_ = table_->num_rows();
   }
-  finest_rows_indexed_ = table_->num_rows();
   // Register every sample at kWarm with its cube refcount (selection
   // shares representative slots across cells).
   std::vector<uint32_t> refs(samples_.size(), 0);
@@ -58,21 +68,36 @@ Status Tabula::AssignInitialTiers() {
     store_.Track(id, samples_.sample(id).size() * tuple_bytes,
                  SampleTier::kWarm, refs[id]);
   }
-  EnforceStoreBudgetLocked(0, kInvalidSampleId);
+  EnforceStoreBudgetLocked(&store_, &samples_);
   return Status::OK();
 }
 
-void Tabula::EnforceStoreBudgetLocked(uint64_t incoming,
-                                      uint32_t protect) const {
-  const uint64_t budget = store_.budget();
+Status Tabula::AdoptTierRecords(
+    const std::vector<SampleStore::TierRecord>& recs) {
+  TABULA_RETURN_NOT_OK(
+      store_.Configure(options_.store, /*truncate_spill=*/false));
+  std::vector<uint32_t> refs(samples_.size(), 0);
+  for (const auto& cell : cube_.cells()) {
+    if (cell.sample_id != kInvalidSampleId) ++refs[cell.sample_id];
+  }
+  const uint64_t tuple_bytes = BytesPerTuple();
+  for (uint32_t id = 0; id < samples_.size(); ++id) {
+    store_.Adopt(id, recs[id], samples_.sample(id).size() * tuple_bytes,
+                 refs[id]);
+  }
+  // A torn / truncated cold-spill side file surfaces here, before any
+  // answer could be served from it.
+  return store_.ValidateSpill();
+}
+
+void Tabula::EnforceStoreBudgetLocked(SampleStore* store, SampleTable* samples,
+                                      uint64_t incoming, uint32_t protect) {
+  const uint64_t budget = store->budget();
   const uint64_t target = budget > incoming ? budget - incoming : 0;
-  const uint64_t current = store_.bytes();
+  const uint64_t current = store->bytes();
   if (current <= target) return;
-  std::vector<uint32_t> victims =
-      store_.PlanEvictions(current - target, protect);
-  for (uint32_t id : victims) {
-    std::vector<RowId> rows = samples_.TakeSample(id);
-    store_.Demote(id, rows);
+  for (uint32_t id : store->PlanEvictions(current - target, protect)) {
+    store->Demote(id, samples->TakeSample(id));
   }
 }
 
@@ -146,7 +171,7 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
   }
 
   const uint64_t bytes = sample.size() * BytesPerTuple();
-  EnforceStoreBudgetLocked(bytes, old_id);
+  EnforceStoreBudgetLocked(&store_, &samples_, bytes, old_id);
   if (store_.bytes() + bytes > store_.budget()) {
     // The sample alone cannot fit the budget (everything else is
     // already cold). Serve it θ-bounded but do not retain it.
@@ -254,7 +279,7 @@ Status Tabula::MaintainStoreTiers() {
     samples_.SetSample(id, std::move(sample));
     store_.MarkResident(id, bytes, SampleTier::kHot);
   }
-  EnforceStoreBudgetLocked(0, kInvalidSampleId);
+  EnforceStoreBudgetLocked(&store_, &samples_);
   return Status::OK();
 }
 

@@ -5,13 +5,13 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/where_clause.h"
 #include "cube/lattice.h"
-#include "sampling/random_sampler.h"
 
 namespace tabula {
 
-Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
-                                                   TabulaOptions options) {
+Status Tabula::ValidateOptions(const Table& table,
+                               const TabulaOptions& options) {
   const LossFunction* loss = options.effective_loss();
   if (loss == nullptr) {
     return Status::InvalidArgument("TabulaOptions.loss must be set");
@@ -28,125 +28,46 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
                               "' not in table");
     }
   }
+  return Status::OK();
+}
 
-  auto tabula = std::unique_ptr<Tabula>(new Tabula());
-  tabula->table_ = &table;
-  tabula->options_ = std::move(options);
-  const TabulaOptions& opts = tabula->options_;
+Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
+                                                   TabulaOptions options) {
+  TABULA_RETURN_NOT_OK(ValidateOptions(table, options));
 
   // Stage timings below come from spans, never from ad-hoc stopwatches.
   // When the caller's tracer cannot record (absent or kDisabled), a
   // local always-on tracer stands in, so init_stats() and init_trace()
   // are populated either way. Init runs once; the span cost is noise.
   Tracer local_tracer(TracerOptions{TraceMode::kAll, /*capacity=*/64});
-  Tracer* tracer = opts.tracer != nullptr && opts.tracer->enabled()
-                       ? opts.tracer
+  Tracer* tracer = options.tracer != nullptr && options.tracer->enabled()
+                       ? options.tracer
                        : &local_tracer;
   Span init_span = tracer->StartSpan("tabula.init", 0, /*opt_in=*/true);
   init_span.SetAttribute("table_rows", table.num_rows());
   init_span.SetAttribute("cubed_attributes",
-                         opts.cubed_attributes.size());
-  init_span.SetAttribute("threshold", opts.threshold);
+                         options.cubed_attributes.size());
+  init_span.SetAttribute("threshold", options.threshold);
 
-  TABULA_ASSIGN_OR_RETURN(
-      tabula->encoder_, KeyEncoder::Make(table, opts.cubed_attributes));
-  std::vector<size_t> all_cols(opts.cubed_attributes.size());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  TABULA_ASSIGN_OR_RETURN(tabula->packer_,
-                          KeyPacker::Make(tabula->encoder_, all_cols));
+  TABULA_ASSIGN_OR_RETURN(KeyEncoder encoder,
+                          KeyEncoder::Make(table, options.cubed_attributes));
 
   // Stage 0: global random sample, sized by Serfling's inequality.
-  {
-    Span span = tracer->StartSpan("tabula.init.global_sample",
-                                  init_span.id());
-    size_t global_size =
-        SerflingSampleSize(opts.serfling_epsilon, opts.serfling_delta);
-    DatasetView all(&table);
-    tabula->global_sample_rows_ =
-        ConsistentBottomKSample(all, global_size, opts.seed);
-    tabula->global_sample_ = DatasetView(&table, tabula->global_sample_rows_);
-    tabula->stats_.global_sample_tuples = tabula->global_sample_.size();
-    span.SetAttribute("tuples", tabula->stats_.global_sample_tuples);
-    tabula->stats_.global_sample_millis = span.End();
-  }
+  Span global_span =
+      tracer->StartSpan("tabula.init.global_sample", init_span.id());
+  std::vector<RowId> global_rows =
+      DrawGlobalSample(table, options, {}, 0, table.num_rows());
+  global_span.SetAttribute("tuples", global_rows.size());
+  const double global_millis = global_span.End();
 
-  Lattice lattice(opts.cubed_attributes.size());
-
-  // Stage 1: dry run — iceberg cell lookup via algebraic roll-up.
-  Span dry_span = tracer->StartSpan("tabula.init.dry_run", init_span.id());
+  // Stages 1–4 and the maintenance state: the partition build over
+  // every row.
   TABULA_ASSIGN_OR_RETURN(
-      DryRunResult dry,
-      RunDryRun(table, tabula->encoder_, tabula->packer_, lattice, *loss,
-                tabula->global_sample_, opts.threshold));
-  tabula->stats_.total_cells = dry.total_cells;
-  tabula->stats_.iceberg_cells = dry.total_iceberg_cells;
-  tabula->stats_.iceberg_cuboids = dry.iceberg_cuboids;
-  dry_span.SetAttribute("rows_scanned", table.num_rows());
-  dry_span.SetAttribute("total_cells", dry.total_cells);
-  dry_span.SetAttribute("iceberg_cells", dry.total_iceberg_cells);
-  dry_span.SetAttribute("iceberg_cuboids", dry.iceberg_cuboids);
-  tabula->stats_.dry_run_millis = dry_span.End();
-
-  // Stage 2: real run — local samples for iceberg cells only.
-  Span real_span = tracer->StartSpan("tabula.init.real_run", init_span.id());
-  GreedySamplerOptions sampler_opts = opts.sampler;
-  sampler_opts.seed = opts.seed;
-  TABULA_ASSIGN_OR_RETURN(
-      RealRunResult real,
-      RunRealRun(table, tabula->encoder_, tabula->packer_, lattice, dry,
-                 *loss, opts.threshold, sampler_opts,
-                 opts.path_policy));
-  tabula->stats_.real_run_cuboids = std::move(real.per_cuboid);
-  tabula->cube_ = std::move(real.cube);
-  real_span.SetAttribute("iceberg_cells", tabula->cube_.size());
-  real_span.SetAttribute("cuboids_visited",
-                         tabula->stats_.real_run_cuboids.size());
-  tabula->stats_.real_run_millis = real_span.End();
-
-  // Stage 3: representative sample selection (or persist-all for
-  // Tabula*).
-  Span sel_span = tracer->StartSpan("tabula.init.selection", init_span.id());
-  if (opts.enable_sample_selection) {
-    TABULA_ASSIGN_OR_RETURN(
-        SelectionResult sel,
-        SelectRepresentativeSamples(table, *loss, opts.threshold,
-                                    opts.selection, &tabula->cube_,
-                                    &tabula->samples_));
-    tabula->stats_.representative_samples = sel.representatives;
-    tabula->stats_.cells_sharing_samples = sel.cells_sharing;
-  } else {
-    TABULA_ASSIGN_OR_RETURN(SelectionResult sel,
-                            PersistAllSamples(&tabula->cube_,
-                                              &tabula->samples_));
-    tabula->stats_.representative_samples = sel.representatives;
-  }
-  sel_span.SetAttribute("representatives",
-                        tabula->stats_.representative_samples);
-  sel_span.SetAttribute("cells_sharing",
-                        tabula->stats_.cells_sharing_samples);
-  tabula->stats_.selection_millis = sel_span.End();
-
-  // Stage 4 (optional): the hierarchical spatial grid for bbox queries.
-  if (opts.spatial.levels > 0) {
-    Span spatial_span =
-        tracer->StartSpan("tabula.init.spatial", init_span.id());
-    TABULA_ASSIGN_OR_RETURN(
-        tabula->grid_,
-        SpatialGrid::Build(tabula->SpatialContext(), opts.spatial,
-                           /*rows=*/nullptr));
-    tabula->stats_.spatial_cells = tabula->grid_.TotalCells();
-    tabula->stats_.spatial_sample_tuples = tabula->grid_.SampleTuples();
-    spatial_span.SetAttribute("levels", opts.spatial.levels);
-    spatial_span.SetAttribute("cells", tabula->stats_.spatial_cells);
-    spatial_span.SetAttribute("sample_tuples",
-                              tabula->stats_.spatial_sample_tuples);
-    tabula->stats_.spatial_millis = spatial_span.End();
-  }
-
-  tabula->refreshed_rows_ = table.num_rows();
-  if (opts.keep_maintenance_state) {
-    TABULA_RETURN_NOT_OK(tabula->BuildMaintenanceState());
-  }
+      std::unique_ptr<Tabula> tabula,
+      BuildPartition(table, std::move(options), std::move(encoder),
+                     std::move(global_rows), std::nullopt, tracer,
+                     init_span.id()));
+  tabula->stats_.global_sample_millis = global_millis;
 
   // Tiered sample store: initial tier assignment (every sample starts
   // kWarm) and first budget enforcement. Inert when budget_bytes == 0.
@@ -162,6 +83,129 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
   uint64_t root_id = init_span.id();
   tabula->stats_.total_millis = init_span.End();
   tabula->init_trace_ = SpanSubtree(tracer->Snapshot(), root_id);
+  return tabula;
+}
+
+Result<std::unique_ptr<Tabula>> Tabula::NewPartition(
+    const Table& table, TabulaOptions options, KeyEncoder encoder,
+    std::vector<RowId> global_sample_rows,
+    std::optional<std::vector<RowId>> rows) {
+  auto tabula = std::unique_ptr<Tabula>(new Tabula());
+  tabula->table_ = &table;
+  tabula->options_ = std::move(options);
+  tabula->encoder_ = std::move(encoder);
+  std::vector<size_t> all_cols(tabula->options_.cubed_attributes.size());
+  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
+  TABULA_ASSIGN_OR_RETURN(tabula->packer_,
+                          KeyPacker::Make(tabula->encoder_, all_cols));
+  tabula->global_sample_rows_ = std::move(global_sample_rows);
+  tabula->global_sample_ = DatasetView(&table, tabula->global_sample_rows_);
+  tabula->stats_.global_sample_tuples = tabula->global_sample_.size();
+  tabula->partition_rows_ = std::move(rows);
+  return tabula;
+}
+
+DatasetView Tabula::PartitionView() const {
+  return partition_rows_.has_value() ? DatasetView(table_, *partition_rows_)
+                                     : DatasetView(table_);
+}
+
+Result<std::unique_ptr<Tabula>> Tabula::BuildPartition(
+    const Table& table, TabulaOptions options, KeyEncoder encoder,
+    std::vector<RowId> global_sample_rows,
+    std::optional<std::vector<RowId>> rows, Tracer* tracer,
+    uint64_t parent_span) {
+  TABULA_ASSIGN_OR_RETURN(
+      std::unique_ptr<Tabula> tabula,
+      NewPartition(table, std::move(options), std::move(encoder),
+                   std::move(global_sample_rows), std::move(rows)));
+  const TabulaOptions& opts = tabula->options_;
+  const LossFunction* loss = opts.effective_loss();
+  const bool partition = tabula->partition_rows_.has_value();
+  const DatasetView view = tabula->PartitionView();
+  Lattice lattice(opts.cubed_attributes.size());
+
+  // Stage 1: dry run — iceberg cell lookup via algebraic roll-up. A
+  // partition keeps the fold's finest states and the lattice's present
+  // keys, the coordinator's merge inputs, so its rows fold once.
+  Span dry_span = tracer->StartSpan("tabula.init.dry_run", parent_span);
+  TABULA_ASSIGN_OR_RETURN(
+      DryRunResult dry,
+      RunDryRun(view, tabula->encoder_, tabula->packer_, lattice, *loss,
+                tabula->global_sample_, opts.threshold,
+                /*keep_lattice=*/partition));
+  tabula->stats_.total_cells = dry.total_cells;
+  tabula->stats_.iceberg_cells = dry.total_iceberg_cells;
+  tabula->stats_.iceberg_cuboids = dry.iceberg_cuboids;
+  dry_span.SetAttribute("rows_scanned", view.size());
+  dry_span.SetAttribute("total_cells", dry.total_cells);
+  dry_span.SetAttribute("iceberg_cells", dry.total_iceberg_cells);
+  dry_span.SetAttribute("iceberg_cuboids", dry.iceberg_cuboids);
+  tabula->stats_.dry_run_millis = dry_span.End();
+
+  // Stage 2: real run — local samples for iceberg cells only.
+  Span real_span = tracer->StartSpan("tabula.init.real_run", parent_span);
+  GreedySamplerOptions sampler_opts = opts.sampler;
+  sampler_opts.seed = opts.seed;
+  TABULA_ASSIGN_OR_RETURN(
+      RealRunResult real,
+      RunRealRun(view, tabula->encoder_, tabula->packer_, lattice, dry,
+                 *loss, opts.threshold, sampler_opts, opts.path_policy));
+  tabula->stats_.real_run_cuboids = std::move(real.per_cuboid);
+  tabula->cube_ = std::move(real.cube);
+  real_span.SetAttribute("iceberg_cells", tabula->cube_.size());
+  real_span.SetAttribute("cuboids_visited",
+                         tabula->stats_.real_run_cuboids.size());
+  tabula->stats_.real_run_millis = real_span.End();
+
+  // Stage 3: representative sample selection (or persist-all for
+  // Tabula* and for partitions).
+  Span sel_span = tracer->StartSpan("tabula.init.selection", parent_span);
+  if (opts.enable_sample_selection) {
+    TABULA_ASSIGN_OR_RETURN(
+        SelectionResult sel,
+        SelectRepresentativeSamples(table, *loss, opts.threshold,
+                                    opts.selection, &tabula->cube_,
+                                    &tabula->samples_));
+    tabula->stats_.representative_samples = sel.representatives;
+    tabula->stats_.cells_sharing_samples = sel.cells_sharing;
+  } else {
+    // A partition keeps its cells' raw rows for the sharded merge.
+    TABULA_ASSIGN_OR_RETURN(
+        SelectionResult sel,
+        PersistAllSamples(&tabula->cube_, &tabula->samples_, partition));
+    tabula->stats_.representative_samples = sel.representatives;
+  }
+  sel_span.SetAttribute("representatives",
+                        tabula->stats_.representative_samples);
+  sel_span.SetAttribute("cells_sharing",
+                        tabula->stats_.cells_sharing_samples);
+  tabula->stats_.selection_millis = sel_span.End();
+
+  // Stage 4 (optional): the hierarchical spatial grid for bbox queries.
+  if (opts.spatial.levels > 0) {
+    Span spatial_span =
+        tracer->StartSpan("tabula.init.spatial", parent_span);
+    TABULA_ASSIGN_OR_RETURN(
+        tabula->grid_,
+        SpatialGrid::Build(tabula->SpatialContext(), opts.spatial,
+                           partition ? &*tabula->partition_rows_ : nullptr));
+    tabula->stats_.spatial_cells = tabula->grid_.TotalCells();
+    tabula->stats_.spatial_sample_tuples = tabula->grid_.SampleTuples();
+    spatial_span.SetAttribute("levels", opts.spatial.levels);
+    spatial_span.SetAttribute("cells", tabula->stats_.spatial_cells);
+    spatial_span.SetAttribute("sample_tuples",
+                              tabula->stats_.spatial_sample_tuples);
+    tabula->stats_.spatial_millis = spatial_span.End();
+  }
+
+  tabula->refreshed_rows_ = table.num_rows();
+  if (partition) {
+    tabula->finest_states_ = std::move(dry.finest_states);
+    tabula->present_cells_ = std::move(dry.present_cells);
+  } else if (opts.keep_maintenance_state) {
+    TABULA_RETURN_NOT_OK(tabula->BuildMaintenanceState());
+  }
   return tabula;
 }
 
@@ -239,7 +283,8 @@ Result<QueryResponse> Tabula::Query(const QueryRequest& request) const {
   // trace-side marker for a rejected query.
   std::vector<uint32_t> codes;
   bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(ValidateEqualityTerms(where, &codes, &provably_empty));
+  TABULA_RETURN_NOT_OK(
+      ValidateEqualityTerms(encoder_, where, &codes, &provably_empty));
   if (provably_empty) {
     // The filter value never occurs in the data: the cell is provably
     // empty, so an empty sample is the exact answer (loss 0). Pending
@@ -274,40 +319,6 @@ Result<QueryResponse> Tabula::Query(const QueryRequest& request) const {
   return response;
 }
 
-Status Tabula::ValidateEqualityTerms(const std::vector<PredicateTerm>& where,
-                                     std::vector<uint32_t>* codes,
-                                     bool* provably_empty) const {
-  const auto& names = encoder_.column_names();
-  codes->assign(names.size(), kNullCode);
-  *provably_empty = false;
-  for (const auto& term : where) {
-    if (term.op != CompareOp::kEq) {
-      return Status::InvalidArgument(
-          "sampling-cube queries support equality predicates only (got '" +
-          term.column + " " + CompareOpName(term.op) + " ...')");
-    }
-    auto it = std::find(names.begin(), names.end(), term.column);
-    if (it == names.end()) {
-      return Status::InvalidArgument(
-          "'" + term.column +
-          "' is not a cubed attribute; WHERE-clause attributes must be a "
-          "subset of the cubed attributes of the initialization query");
-    }
-    size_t k = static_cast<size_t>(it - names.begin());
-    if ((*codes)[k] != kNullCode) {
-      return Status::InvalidArgument("duplicate predicate on '" +
-                                     term.column + "'");
-    }
-    auto code = encoder_.CodeForValue(k, term.literal);
-    if (!code.ok()) {
-      *provably_empty = true;
-      return Status::OK();
-    }
-    (*codes)[k] = code.value();
-  }
-  return Status::OK();
-}
-
 SpatialGrid::Context Tabula::SpatialContext() const {
   SpatialGrid::Context ctx;
   ctx.table = table_;
@@ -328,14 +339,8 @@ Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,
   }
   TABULA_ASSIGN_OR_RETURN(SpatialGrid::ResolvedBBox box,
                           grid_.Resolve(request.range));
-  for (const auto& term : request.where) {
-    if (term.column == grid_.options().x_column ||
-        term.column == grid_.options().y_column) {
-      return Status::InvalidArgument(
-          "cannot mix a spatial range and an equality predicate on '" +
-          term.column + "'");
-    }
-  }
+  TABULA_RETURN_NOT_OK(
+      CheckRangeTermsDisjoint(grid_.options(), request.where));
   // Spatial cells live outside the cube's dirty-key space, so staleness
   // tagging is conservative: any pending rows mark the answer stale.
   result->stale = has_pending;
@@ -360,31 +365,38 @@ Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,
   // within θ, both deterministic.
   std::vector<uint32_t> codes;
   bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(
-      ValidateEqualityTerms(request.where, &codes, &provably_empty));
+  TABULA_RETURN_NOT_OK(ValidateEqualityTerms(encoder_, request.where, &codes,
+                                            &provably_empty));
+  std::vector<RowId> matching;
   if (!provably_empty) {
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
                             grid_.GatherRangeRows(ctx, box));
     TABULA_ASSIGN_OR_RETURN(BoundPredicate pred,
                             BoundPredicate::Bind(*table_, request.where));
-    std::vector<RowId> matching = pred.FilterRows(rows);
-    if (!matching.empty()) {
-      result->from_local_sample = true;
-      size_t cap = grid_.options().resample_cap;
-      if (cap == 0 || matching.size() <= cap) {
-        result->sample = DatasetView(table_, std::move(matching));
-      } else {
-        GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-        TABULA_ASSIGN_OR_RETURN(
-            std::vector<RowId> sample,
-            sampler.Sample(DatasetView(table_, matching)));
-        result->sample = DatasetView(table_, std::move(sample));
-      }
-      return Status::OK();
-    }
+    matching = pred.FilterRows(rows);
   }
-  result->empty_cell = true;
-  result->sample = DatasetView(table_, {});
+  return AnswerHybridRange(ctx, grid_.options().resample_cap,
+                           std::move(matching), result);
+}
+
+Status Tabula::AnswerHybridRange(const SpatialGrid::Context& ctx,
+                                 size_t resample_cap,
+                                 std::vector<RowId> matching,
+                                 TabulaQueryResult* result) {
+  if (matching.empty()) {
+    result->empty_cell = true;
+    result->sample = DatasetView(ctx.table, {});
+    return Status::OK();
+  }
+  result->from_local_sample = true;
+  if (resample_cap == 0 || matching.size() <= resample_cap) {
+    result->sample = DatasetView(ctx.table, std::move(matching));
+    return Status::OK();
+  }
+  GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
+  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
+                          sampler.Sample(DatasetView(ctx.table, matching)));
+  result->sample = DatasetView(ctx.table, std::move(sample));
   return Status::OK();
 }
 

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -305,11 +306,100 @@ class Tabula : public QueryEngine {
   void RemoveRefreshListener(uint64_t id) override;
 
  private:
+  /// ShardedTabula builds, persists and serves its shards as partitions
+  /// of this class (BuildPartition and the members below); it adds no
+  /// public surface.
+  friend class ShardedTabula;
+
   Tabula() = default;
+
+  /// The build options every engine requires (loss set, attributes,
+  /// θ > 0, loss inputs present in `table`).
+  static Status ValidateOptions(const Table& table,
+                                const TabulaOptions& options);
+
+  /// \brief The one cube build (Section III): dry run → real run →
+  /// selection → spatial grid → maintenance state, classified against
+  /// `global_sample_rows` under `encoder`. `rows` is the partition to
+  /// cube (ascending); nullopt cubes every table row. Initialize() is
+  /// this run over all rows with a freshly drawn global sample;
+  /// ShardedTabula runs it once per shard. A partition keeps its
+  /// finest-cuboid states and present-cell set straight from its dry
+  /// run, and its tiers are assigned by the caller. Stage spans parent
+  /// under `parent_span` in `tracer` (which must be recording).
+  static Result<std::unique_ptr<Tabula>> BuildPartition(
+      const Table& table, TabulaOptions options, KeyEncoder encoder,
+      std::vector<RowId> global_sample_rows,
+      std::optional<std::vector<RowId>> rows, Tracer* tracer,
+      uint64_t parent_span);
+
+  /// An unbuilt instance with its key layout and global sample set
+  /// (the shared prologue of BuildPartition and the shard-manifest
+  /// load).
+  static Result<std::unique_ptr<Tabula>> NewPartition(
+      const Table& table, TabulaOptions options, KeyEncoder encoder,
+      std::vector<RowId> global_sample_rows,
+      std::optional<std::vector<RowId>> rows);
+
+  /// The rows this instance cubes: the partition's list, or every row.
+  DatasetView PartitionView() const;
 
   /// Accumulates the per-finest-cell loss states over rows [0, n) for
   /// incremental maintenance.
   Status BuildMaintenanceState();
+
+  /// Refresh() of both engines: Plan → Begin → Execute → Commit run
+  /// back-to-back under one `tabula.refresh` span. `on_plan` (may be
+  /// empty) sees each plan first — the sharded engine parents its shard
+  /// builds under the span there.
+  static Status RunRefresh(
+      QueryEngine* engine, Tracer* tracer, RefreshStats* stats,
+      const std::function<void(IngestPlan*, Span*)>& on_plan);
+
+  /// Rolls finest-cuboid states up the whole lattice: one state map per
+  /// cuboid (index = CuboidMask). `dirty` (optional, one key set per
+  /// cuboid, finest filled) is rolled along the same edges.
+  static std::vector<FlatHashMap<LossState>> RollUpLattice(
+      const KeyPacker& packer, const Lattice& lattice,
+      FlatHashMap<LossState> finest,
+      std::vector<FlatHashSet>* dirty = nullptr);
+
+  /// Re-makes the key encoder over the grown table into `fresh`; true
+  /// when an unseen attribute value shifted the packed-key layout (every
+  /// stored key is then stale and the cube must be rebuilt).
+  static Result<bool> RemakeEncoder(const Table& table,
+                                    const TabulaOptions& options,
+                                    const KeyEncoder& current,
+                                    KeyEncoder* fresh);
+
+  /// The global sample over rows [0, n1): Serfling-sized, consistent
+  /// bottom-k under the build seed. `prior` — the sample over [0, n0) —
+  /// makes an ingest cycle's redraw O(k + batch) yet byte-for-byte the
+  /// from-scratch draw; a fresh draw passes an empty prior and n0 = 0.
+  static std::vector<RowId> DrawGlobalSample(const Table& table,
+                                             const TabulaOptions& options,
+                                             const std::vector<RowId>& prior,
+                                             size_t n0, size_t n1);
+
+  /// Re-derives a partition's finest states and present-cell set with a
+  /// dry run over its rows (a loaded partition persists neither).
+  Status FoldPartitionStates();
+
+  /// Rows of this partition in each listed cell (cell key → cuboid),
+  /// appended ascending to `out[key]`: one pass over the partition's
+  /// rows per distinct cuboid.
+  void CollectCellRows(const FlatHashMap<CuboidMask>& cells,
+                       FlatHashMap<std::vector<RowId>>* out) const;
+
+  /// Adopts a decoded spatial grid when it matches the configured
+  /// geometry, else rebuilds it deterministically over `rows` (nullptr =
+  /// every table row).
+  Status AdoptOrBuildGrid(std::optional<SpatialGrid> saved,
+                          const std::vector<RowId>* rows);
+
+  /// Configures the store and adopts persisted tier records (Load path;
+  /// AssignInitialTiers then keeps them).
+  Status AdoptTierRecords(const std::vector<SampleStore::TierRecord>& recs);
 
   /// The bound loss (options_.effective_loss(), cached at Initialize).
   const LossFunction* loss_fn() const { return options_.effective_loss(); }
@@ -322,14 +412,14 @@ class Tabula : public QueryEngine {
   /// other than generation are filled here.
   Status QueryRange(const QueryRequest& request, bool has_pending,
                     TabulaQueryResult* result) const;
-
-  /// Shared WHERE validation of the equality query surface; keeps the
-  /// pure-equality and hybrid range paths byte-identical in behavior.
-  /// On return `*provably_empty` marks a literal absent from its
-  /// dictionary (empty cell).
-  Status ValidateEqualityTerms(const std::vector<PredicateTerm>& where,
-                               std::vector<uint32_t>* codes,
-                               bool* provably_empty) const;
+  /// The answer to a hybrid bbox + equality request from its matching
+  /// rows (ascending): empty, the rows themselves when at most
+  /// `resample_cap`, else SAMPLING(matching, θ) at query time — all
+  /// within θ and deterministic. Shared by both engines.
+  static Status AnswerHybridRange(const SpatialGrid::Context& ctx,
+                                  size_t resample_cap,
+                                  std::vector<RowId> matching,
+                                  TabulaQueryResult* result);
 
   // --- Tiered sample store (src/core/store_tier.cc) -----------------
   /// Whether the tiered store is active for this instance.
@@ -353,10 +443,15 @@ class Tabula : public QueryEngine {
   /// exclusively; fires the `store.promote` seam.
   Status PromoteLocked(IcebergCell* cell,
                        std::vector<RowId>* transient) const;
-  /// Demotes CLOCK victims until resident bytes + `incoming` fit the
-  /// budget; `protect` is never victimized. Infallible (spill-write
-  /// failures degrade to drop mode). Caller holds store_mu_ exclusively.
-  void EnforceStoreBudgetLocked(uint64_t incoming, uint32_t protect) const;
+  /// Demotes CLOCK victims of `store` — whose bytes live in `samples` —
+  /// until resident bytes + `incoming` fit its budget; `protect` is never
+  /// victimized. Infallible (spill-write failures degrade to drop mode).
+  /// Caller holds the store's lock exclusively. The sharded engine
+  /// enforces its override store with it too.
+  static void EnforceStoreBudgetLocked(SampleStore* store,
+                                       SampleTable* samples,
+                                       uint64_t incoming = 0,
+                                       uint32_t protect = kInvalidSampleId);
   /// Serve path for an iceberg-cell hit with the store enabled: hit
   /// accounting under the shared lock, lazy promote-on-miss under the
   /// exclusive lock (with a `store.promote` span), degrade-to-global on
@@ -390,6 +485,14 @@ class Tabula : public QueryEngine {
   /// it). Immutable between mutating entry points, like the cube.
   SpatialGrid grid_;
   TabulaInitStats stats_;
+
+  /// Ascending row list of a ShardedTabula partition; nullopt for an
+  /// engine over the whole table.
+  std::optional<std::vector<RowId>> partition_rows_;
+  /// Every cell key (all lattice levels) with at least one row in this
+  /// partition; lets the sharded merge tell "slice empty" from "slice
+  /// covered by the global sample". Partitions only.
+  FlatHashSet present_cells_;
 
   /// Incremental-maintenance state (see Refresh()).
   std::unique_ptr<BoundLoss> maintenance_bound_;

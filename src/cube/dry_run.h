@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/status.h"
 #include "cube/lattice.h"
 #include "exec/group_by.h"
@@ -37,15 +38,21 @@ struct DryRunResult {
   double fold_millis = 0.0;
   double rollup_millis = 0.0;
   double finalize_millis = 0.0;
+
+  /// Filled only when RunDryRun is asked to keep its lattice (a shard
+  /// partition's merge inputs): the finest-cuboid loss states, and every
+  /// non-empty cell key at every lattice level.
+  FlatHashMap<LossState> finest_states;
+  FlatHashSet present_cells;
 };
 
 /// \brief Stage 1 of cube initialization: iceberg-cell lookup.
 ///
 /// Because the loss function is algebraic while SAMPLING() is holistic,
-/// Tabula first materializes only the loss measure: one full-table GroupBy
+/// Tabula first materializes only the loss measure: one GroupBy over `rows`
 /// at the finest cuboid accumulates per-cell LossStates against the fixed
 /// global sample, and every coarser cuboid is derived by merging states
-/// along the lattice — the raw table is scanned exactly once. Cells whose
+/// along the lattice — the rows are scanned exactly once. Cells whose
 /// finalized loss exceeds θ are iceberg cells; everything else will be
 /// answered by the global sample with the guarantee already verified.
 ///
@@ -54,24 +61,15 @@ struct DryRunResult {
 /// same-level cuboids, and every cuboid's iceberg_keys come out sorted —
 /// so the result is byte-identical at any thread count.
 ///
+/// \param rows the rows to cube (all table rows, or one partition's
+///        ascending row list).
 /// \param packer full-width packer over all cubed attributes.
-Result<DryRunResult> RunDryRun(const Table& table, const KeyEncoder& encoder,
+Result<DryRunResult> RunDryRun(const DatasetView& rows,
+                               const KeyEncoder& encoder,
                                const KeyPacker& packer, const Lattice& lattice,
                                const LossFunction& loss,
-                               const DatasetView& global_sample, double theta);
-
-/// The pre-flat-hash dry-run engine — std::unordered_map folds, serial
-/// lattice roll-up, thread-count-dependent chunking — preserved as the
-/// reference implementation for bench_fig10_cubing_overhead's
-/// before/after comparison and as a differential oracle for the new
-/// engine (iceberg-cell sets must match modulo ordering).
-Result<DryRunResult> RunDryRunLegacy(const Table& table,
-                                     const KeyEncoder& encoder,
-                                     const KeyPacker& packer,
-                                     const Lattice& lattice,
-                                     const LossFunction& loss,
-                                     const DatasetView& global_sample,
-                                     double theta);
+                               const DatasetView& global_sample, double theta,
+                               bool keep_lattice = false);
 
 }  // namespace tabula
 

@@ -40,22 +40,20 @@ CellRowsMap MergeChunkMaps(std::vector<CellRowsMap> partials,
 
 /// Semi-join path: one scan; only rows whose cell key is an iceberg key
 /// are collected (paper's "equi-join with the iceberg cell table").
-CellRowsMap CollectJoinPath(const Table& table, const KeyEncoder& enc,
+CellRowsMap CollectJoinPath(const DatasetView& rows, const KeyEncoder& enc,
                             const KeyPacker& packer, CuboidMask mask,
                             const FlatHashSet& iceberg) {
   auto& pool = ThreadPool::Global();
-  size_t chunks = ThreadPool::DeterministicChunkCount(table.num_rows());
+  size_t chunks = ThreadPool::DeterministicChunkCount(rows.size());
   std::vector<CellRowsMap> partials(chunks);
   pool.ParallelForDeterministic(
-      table.num_rows(), [&](size_t chunk, size_t begin, size_t end) {
+      rows.size(), [&](size_t chunk, size_t begin, size_t end) {
         auto& map = partials[chunk];
         map.reserve(iceberg.size());
-        for (size_t r = begin; r < end; ++r) {
-          uint64_t key =
-              packer.PackRowMasked(enc, static_cast<RowId>(r), mask);
-          if (iceberg.Contains(key)) {
-            map[key].push_back(static_cast<RowId>(r));
-          }
+        for (size_t i = begin; i < end; ++i) {
+          const RowId r = rows.row(i);
+          uint64_t key = packer.PackRowMasked(enc, r, mask);
+          if (iceberg.Contains(key)) map[key].push_back(r);
         }
       });
   return MergeChunkMaps(std::move(partials), iceberg.size());
@@ -63,21 +61,20 @@ CellRowsMap CollectJoinPath(const Table& table, const KeyEncoder& enc,
 
 /// Full-GroupBy path: group *all* rows of the cuboid, then keep iceberg
 /// groups only.
-CellRowsMap CollectGroupByPath(const Table& table, const KeyEncoder& enc,
+CellRowsMap CollectGroupByPath(const DatasetView& rows, const KeyEncoder& enc,
                                const KeyPacker& packer, CuboidMask mask,
                                const FlatHashSet& iceberg,
                                size_t total_cells) {
   auto& pool = ThreadPool::Global();
-  size_t chunks = ThreadPool::DeterministicChunkCount(table.num_rows());
+  size_t chunks = ThreadPool::DeterministicChunkCount(rows.size());
   std::vector<CellRowsMap> partials(chunks);
   pool.ParallelForDeterministic(
-      table.num_rows(), [&](size_t chunk, size_t begin, size_t end) {
+      rows.size(), [&](size_t chunk, size_t begin, size_t end) {
         auto& map = partials[chunk];
         map.reserve(std::min(total_cells, end - begin));
-        for (size_t r = begin; r < end; ++r) {
-          uint64_t key =
-              packer.PackRowMasked(enc, static_cast<RowId>(r), mask);
-          map[key].push_back(static_cast<RowId>(r));
+        for (size_t i = begin; i < end; ++i) {
+          const RowId r = rows.row(i);
+          map[packer.PackRowMasked(enc, r, mask)].push_back(r);
         }
       });
   CellRowsMap merged = MergeChunkMaps(std::move(partials), total_cells);
@@ -95,9 +92,16 @@ CellRowsMap CollectGroupByPath(const Table& table, const KeyEncoder& enc,
 /// re-gathering every key column per cuboid. Grain boundaries are pure
 /// f(n) and partials merge in ascending grain order, so each cell's row
 /// list is ascending and the merged map is byte-identical to the scalar
-/// reference engine.
+/// reference engine. `row_keys[i]` is the finest key of view position i;
+/// `ids` maps positions to base-table row ids (nullptr = identity, an
+/// all-rows view).
+
+RowId RowAt(const RowId* ids, size_t i) {
+  return ids != nullptr ? ids[i] : static_cast<RowId>(i);
+}
 
 CellRowsMap CollectJoinPathVec(const std::vector<uint64_t>& row_keys,
+                               const RowId* ids,
                                const KeyPacker& packer, CuboidMask mask,
                                const std::vector<uint64_t>& iceberg_keys) {
   auto& pool = ThreadPool::Global();
@@ -126,7 +130,7 @@ CellRowsMap CollectJoinPathVec(const std::vector<uint64_t>& row_keys,
       vec::MaskRollKeys(row_keys.data() + mb, me - mb, t.keep, t.set, keys);
       for (size_t r = mb; r < me; ++r) {
         const uint32_t* idx = index.Find(keys[r - mb]);
-        if (idx != nullptr) rows[*idx].push_back(static_cast<RowId>(r));
+        if (idx != nullptr) rows[*idx].push_back(RowAt(ids, r));
       }
     }
   });
@@ -190,8 +194,9 @@ constexpr size_t kDenseCellLimit = 1u << 16;
 /// Grain slices concatenate in ascending grain order and the sort is
 /// stable, so each cell's row list is ascending — byte-identical to the
 /// scalar reference engine.
-CellRowsMap CollectGroupedVec(const FinestGroups& fg, const KeyPacker& packer,
-                              CuboidMask mask, const FlatHashSet& iceberg) {
+CellRowsMap CollectGroupedVec(const FinestGroups& fg, const RowId* ids,
+                              const KeyPacker& packer, CuboidMask mask,
+                              const FlatHashSet& iceberg) {
   auto& pool = ThreadPool::Global();
   const size_t n = fg.row_group.size();
   const size_t groups = fg.group_key.size();
@@ -228,7 +233,7 @@ CellRowsMap CollectGroupedVec(const FinestGroups& fg, const KeyPacker& packer,
     for (size_t c = 0; c < cells; ++c) gs.offsets[c + 1] += gs.offsets[c];
     std::vector<uint32_t> cursor(gs.offsets.begin(), gs.offsets.end() - 1);
     for (size_t r = begin; r < end; ++r) {
-      gs.rows[cursor[g2c[fg.row_group[r]]]++] = static_cast<RowId>(r);
+      gs.rows[cursor[g2c[fg.row_group[r]]]++] = RowAt(ids, r);
     }
   });
 
@@ -253,7 +258,8 @@ CellRowsMap CollectGroupedVec(const FinestGroups& fg, const KeyPacker& packer,
 }
 
 CellRowsMap CollectGroupByPathVec(const std::vector<uint64_t>& row_keys,
-                                  const KeyPacker& packer, CuboidMask mask,
+                                  const RowId* ids, const KeyPacker& packer,
+                                  CuboidMask mask,
                                   const FlatHashSet& iceberg,
                                   size_t total_cells) {
   auto& pool = ThreadPool::Global();
@@ -268,7 +274,7 @@ CellRowsMap CollectGroupByPathVec(const std::vector<uint64_t>& row_keys,
       const size_t me = std::min(end, mb + kMorselRows);
       vec::MaskRollKeys(row_keys.data() + mb, me - mb, t.keep, t.set, keys);
       for (size_t r = mb; r < me; ++r) {
-        map[keys[r - mb]].push_back(static_cast<RowId>(r));
+        map[keys[r - mb]].push_back(RowAt(ids, r));
       }
     }
   });
@@ -283,29 +289,30 @@ CellRowsMap CollectGroupByPathVec(const std::vector<uint64_t>& row_keys,
 }  // namespace
 
 Result<RealRunResult> RunRealRun(
-    const Table& table, const KeyEncoder& encoder, const KeyPacker& packer,
+    const DatasetView& rows, const KeyEncoder& encoder,
+    const KeyPacker& packer,
     const Lattice& lattice, const DryRunResult& dry_run,
     const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,
     RealRunPathPolicy path_policy, RealRunEngine engine) {
   Stopwatch total;
+  const Table& table = *rows.table();
   RealRunResult result;
   GreedySampler sampler(&loss, theta, sampler_options);
   auto& pool = ThreadPool::Global();
   result.cube.Reserve(dry_run.total_iceberg_cells);
 
-  // One batched columnar packing pass over the table amortizes key
+  // One batched columnar packing pass over the rows amortizes key
   // construction across every iceberg cuboid: each cuboid's keys are then
   // two bitwise ops per row away (see CollectJoinPathVec).
   std::vector<uint64_t> row_keys;
   FinestGroups finest_groups;
   if (engine == RealRunEngine::kVectorized && dry_run.iceberg_cuboids > 0) {
     Stopwatch pack_timer;
-    const size_t num_rows = table.num_rows();
+    const size_t num_rows = rows.size();
     row_keys.resize(num_rows);
-    DatasetView all(&table);
     pool.ParallelForGrains(num_rows, [&](size_t, size_t begin, size_t end) {
-      packer.PackRows(encoder, all, begin, end, row_keys.data() + begin);
+      packer.PackRows(encoder, rows, begin, end, row_keys.data() + begin);
     });
     finest_groups = BuildFinestGroups(row_keys);
     result.pack_millis = pack_timer.ElapsedMillis();
@@ -328,7 +335,7 @@ Result<RealRunResult> RunRealRun(
       case RealRunPathPolicy::kAuto:
       default:
         join_path =
-            PreferJoinPath(static_cast<double>(table.num_rows()),
+            PreferJoinPath(static_cast<double>(rows.size()),
                            static_cast<double>(info.iceberg_keys.size()),
                            static_cast<double>(info.total_cells));
         break;
@@ -343,21 +350,21 @@ Result<RealRunResult> RunRealRun(
       // join/group-by collectors, which mirror the reference plans.
       if (path_policy == RealRunPathPolicy::kAuto &&
           finest_groups.group_key.size() <= kDenseCellLimit) {
-        cell_rows = CollectGroupedVec(finest_groups, packer, info.mask,
-                                      iceberg);
+        cell_rows = CollectGroupedVec(finest_groups, rows.raw_rows(), packer,
+                                      info.mask, iceberg);
       } else {
         cell_rows =
             join_path
-                ? CollectJoinPathVec(row_keys, packer, info.mask,
-                                     info.iceberg_keys)
-                : CollectGroupByPathVec(row_keys, packer, info.mask, iceberg,
-                                        info.total_cells);
+                ? CollectJoinPathVec(row_keys, rows.raw_rows(), packer,
+                                     info.mask, info.iceberg_keys)
+                : CollectGroupByPathVec(row_keys, rows.raw_rows(), packer,
+                                        info.mask, iceberg, info.total_cells);
       }
     } else {
       cell_rows =
           join_path
-              ? CollectJoinPath(table, encoder, packer, info.mask, iceberg)
-              : CollectGroupByPath(table, encoder, packer, info.mask, iceberg,
+              ? CollectJoinPath(rows, encoder, packer, info.mask, iceberg)
+              : CollectGroupByPath(rows, encoder, packer, info.mask, iceberg,
                                    info.total_cells);
     }
 
@@ -368,11 +375,11 @@ Result<RealRunResult> RunRealRun(
     // stolen one at a time rather than pre-chunked across workers.
     std::vector<IcebergCell> cells;
     cells.reserve(cell_rows.size());
-    for (auto& [key, rows] : cell_rows.ExtractSorted()) {
+    for (auto& [key, raw] : cell_rows.ExtractSorted()) {
       IcebergCell cell;
       cell.key = key;
       cell.cuboid = info.mask;
-      cell.raw_rows = std::move(rows);
+      cell.raw_rows = std::move(raw);
       cells.push_back(std::move(cell));
     }
     const double collected_ms = cuboid_timer.ElapsedMillis();

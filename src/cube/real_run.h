@@ -50,11 +50,14 @@ struct RealRunResult {
 /// \brief Stage 2 of cube initialization: sampling-cube construction.
 ///
 /// Skips every cuboid without iceberg cells, and for each iceberg cuboid
-/// fetches the raw data of its iceberg cells — via a full GroupBy or via
-/// the iceberg-cell semi-join, whichever the cost model picks — then runs
-/// the greedy SAMPLING() aggregate (Algorithm 1) per iceberg cell.
+/// fetches the raw data of its iceberg cells among `rows` — via a full
+/// GroupBy or via the iceberg-cell semi-join, whichever the cost model
+/// picks over |rows| — then runs the greedy SAMPLING() aggregate
+/// (Algorithm 1) per iceberg cell. Each cell's raw rows come out in
+/// `rows` order, so an ascending view yields ascending cell rows.
 Result<RealRunResult> RunRealRun(
-    const Table& table, const KeyEncoder& encoder, const KeyPacker& packer,
+    const DatasetView& rows, const KeyEncoder& encoder,
+    const KeyPacker& packer,
     const Lattice& lattice, const DryRunResult& dry_run,
     const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,

@@ -40,9 +40,12 @@ Result<SelectionResult> SelectRepresentativeSamples(
     SampleTable* sample_table);
 
 /// \brief The no-selection variant (the paper's Tabula*): persists every
-/// local sample individually. Same linking/normalization contract.
+/// local sample individually. Same linking/normalization contract,
+/// except that `keep_raw_rows` leaves each cell's raw rows in place (a
+/// shard partition keeps them until the sharded merge has read them).
 Result<SelectionResult> PersistAllSamples(CubeTable* cube,
-                                          SampleTable* sample_table);
+                                          SampleTable* sample_table,
+                                          bool keep_raw_rows = false);
 
 }  // namespace tabula
 

@@ -5,13 +5,13 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "core/where_clause.h"
 #include "shard/sharded_tabula.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
 
-/// Scatter-gather answer path (K > 1; K = 1 delegates to the plain
-/// engine for bit-identical behaviour).
+/// Scatter-gather answer path.
 ///
 /// The merged directory decides the shape of the answer:
 ///  - key absent → non-iceberg cell; the global sample is within θ
@@ -30,8 +30,6 @@ namespace tabula {
 ///    kUnavailable detail — the request still succeeds, but the θ bound
 ///    is voided and the caller is told so.
 Result<QueryResponse> ShardedTabula::Query(const QueryRequest& request) const {
-  if (single_ != nullptr) return single_->Query(request);
-
   Tracer* tracer = options_.base.tracer;
   Span span;
   if (tracer != nullptr) {
@@ -73,37 +71,17 @@ Result<QueryResponse> ShardedTabula::Query(const QueryRequest& request) const {
     return response;
   }
 
-  // Identical WHERE-clause contract (and error wording) as the plain
-  // engine: equality predicates on cubed attributes only.
-  const auto& names = encoder_.column_names();
-  std::vector<uint32_t> codes(names.size(), kNullCode);
-  for (const auto& term : where) {
-    if (term.op != CompareOp::kEq) {
-      return Status::InvalidArgument(
-          "sampling-cube queries support equality predicates only (got '" +
-          term.column + " " + CompareOpName(term.op) + " ...')");
-    }
-    auto it = std::find(names.begin(), names.end(), term.column);
-    if (it == names.end()) {
-      return Status::InvalidArgument(
-          "'" + term.column +
-          "' is not a cubed attribute; WHERE-clause attributes must be a "
-          "subset of the cubed attributes of the initialization query");
-    }
-    size_t k = static_cast<size_t>(it - names.begin());
-    if (codes[k] != kNullCode) {
-      return Status::InvalidArgument("duplicate predicate on '" +
-                                     term.column + "'");
-    }
-    auto code = encoder_.CodeForValue(k, term.literal);
-    if (!code.ok()) {
-      result.empty_cell = true;
-      result.stale = has_pending;
-      result.sample = DatasetView(table_, {});
-      finish();
-      return response;
-    }
-    codes[k] = code.value();
+  // The WHERE-clause contract (and error wording) of the plain engine.
+  std::vector<uint32_t> codes;
+  bool provably_empty = false;
+  TABULA_RETURN_NOT_OK(
+      ValidateEqualityTerms(encoder_, where, &codes, &provably_empty));
+  if (provably_empty) {
+    result.empty_cell = true;
+    result.stale = has_pending;
+    result.sample = DatasetView(table_, {});
+    finish();
+    return response;
   }
 
   uint64_t key = packer_.PackCodes(codes);
@@ -159,12 +137,12 @@ Result<QueryResponse> ShardedTabula::Query(const QueryRequest& request) const {
   Span fanout_span;
   if (span.recording() && tracer != nullptr) {
     fanout_span = tracer->StartSpan("shard.query.fanout", span.id());
-    fanout_span.SetAttribute("shards", shards_.size());
+    fanout_span.SetAttribute("shards", parts_.size());
     fanout_span.SetAttribute("replicas_per_shard", replicas_per_shard());
   }
   Stopwatch fanout_timer;
   std::vector<RowId> gathered;
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < parts_.size(); ++s) {
     Stopwatch shard_timer;
     // The legacy whole-group seam: a `shard.query` fault takes out all
     // R replicas at once (the semantics every pre-replication test and
@@ -175,7 +153,8 @@ Result<QueryResponse> ShardedTabula::Query(const QueryRequest& request) const {
       shard_status = FaultInjector::Global().Hit("shard.query");
     }
     if (shard_status.ok()) {
-      shard_status = QueryShardReplicas(s, key, &gathered, &result);
+      shard_status =
+          QueryShardReplicas(s, key, span.id(), &gathered, &result);
     }
     if (!shard_status.ok()) {
       result.unavailable_shards.push_back(static_cast<uint32_t>(s));
@@ -291,43 +270,33 @@ Status ShardedTabula::ProbeReplicas(size_t shard) const {
 }
 
 Status ShardedTabula::QueryShardReplicas(size_t shard, uint64_t key,
+                                         uint64_t query_span,
                                          std::vector<RowId>* gathered,
                                          TabulaQueryResult* result) const {
   TABULA_RETURN_NOT_OK(ProbeReplicas(shard));
-  // Replicas share the shard's immutable cube and samples, so which
-  // replica answers never changes the bytes of the answer — only who
-  // paid the latency (tracked by the probe's EWMA).
-  const IcebergCell* local = shards_[shard].cube.Find(key);
+  // Replicas share the shard's partition, so which replica answers never
+  // changes the bytes of the answer — only who paid the latency
+  // (tracked by the probe's EWMA).
+  const Tabula& part = *parts_[shard];
+  const IcebergCell* local = part.cube_.Find(key);
   if (local == nullptr) return Status::OK();
   if (!store_enabled()) {
-    const auto& sample = shards_[shard].samples.sample(local->sample_id);
+    const auto& sample = part.samples_.sample(local->sample_id);
     gathered->insert(gathered->end(), sample.begin(), sample.end());
     return Status::OK();
   }
-  {
-    std::shared_lock<std::shared_mutex> lock(*store_mu_);
-    shard_stores_[shard].RecordHit(local->sample_id);
-    if (shard_stores_[shard].resident(local->sample_id)) {
-      const auto& sample = shards_[shard].samples.sample(local->sample_id);
-      gathered->insert(gathered->end(), sample.begin(), sample.end());
-      return Status::OK();
-    }
-  }
-  // Cold slice: lazily promote under the exclusive section (appends the
-  // restored rows in place, so the gather stays in shard order).
-  std::unique_lock<std::shared_mutex> lock(*store_mu_);
-  if (shard_stores_[shard].resident(local->sample_id)) {
-    const auto& sample = shards_[shard].samples.sample(local->sample_id);
-    gathered->insert(gathered->end(), sample.begin(), sample.end());
-    return Status::OK();
-  }
-  Status promoted = PromoteShardCellLocked(shard, key, gathered);
-  if (!promoted.ok()) {
-    // The slice stays unserved; the caller degrades the whole answer to
-    // the global sample (the evicted bytes are never served).
-    shard_stores_[shard].CountPromoteFailure();
+  // The partition's store path: hit accounting, lazy promote of a cold
+  // slice (with a `store.promote` span under this query's span), and
+  // degrade on a failed promote — the caller then serves the global
+  // sample for the whole answer, never the evicted bytes.
+  TabulaQueryResult slice;
+  part.ServeStoredSample(key, query_span, &slice);
+  if (slice.store_degraded) {
     result->store_degraded = true;
+    return Status::OK();
   }
+  const RowId* rows = slice.sample.raw_rows();
+  gathered->insert(gathered->end(), rows, rows + slice.sample.size());
   return Status::OK();
 }
 

@@ -3,33 +3,29 @@
 /// appended rows to their owning shards (hash of the row id, or the
 /// smallest shard under range partitioning) and computes the dirty cell
 /// set; BeginIngest publishes that set for per-cell staleness tagging;
-/// ExecuteIngest rebuilds ONLY the touched shards into staged copies
+/// ExecuteIngest rebuilds ONLY the touched shards into staged partitions
 /// and re-runs the merge + θ re-verification pass over the mix of
-/// staged and untouched shards; CommitIngest adopts the staged shards
-/// and merged directory. Refresh() composes the phases back-to-back and
-/// keeps the single-instance contract: every fallible step is staged,
-/// so a failed cycle (including an injected `shard.build` fault) leaves
-/// the instance answering queries exactly as before, generation
-/// unchanged. K = 1 delegates every phase to the plain engine.
+/// staged and untouched shards; CommitIngest adopts the staged
+/// partitions and merged directory. Refresh() composes the phases
+/// back-to-back and keeps the single-instance contract: every fallible
+/// step is staged, so a failed cycle (including an injected
+/// `shard.build` fault) leaves the instance answering queries exactly
+/// as before, generation unchanged.
 
 #include <algorithm>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
 
-#include "common/rng.h"
-#include "common/stopwatch.h"
-#include "common/thread_pool.h"
-#include "sampling/random_sampler.h"
+#include "common/logging.h"
 #include "shard/sharded_tabula.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
 
 /// Staged state of one in-flight sharded ingest cycle. Declared as a
-/// nested type (the Shard/MergeOutput members are private to
+/// nested type (the MergeOutput members are private to
 /// ShardedTabula) but defined here so the staged layout stays local to
 /// this translation unit. Everything in it is private to the cycle
 /// until CommitIngest adopts it, so a failure in any phase just drops
@@ -50,18 +46,17 @@ struct ShardedTabula::IngestPlanState : QueryEngine::IngestPlan {
   bool adopt_global = false;
   std::vector<RowId> staged_global_rows;
   DatasetView staged_global;
-  /// Staged copies of the touched shards: `rows` pre-extended with the
-  /// appends at plan time, the cube/samples/states filled by the
-  /// rebuild in ExecuteIngest.
-  std::vector<Shard> staged;
+  /// Row lists of the touched shards, pre-extended with the appends at
+  /// plan time, and the partitions ExecuteIngest rebuilds over them (a
+  /// failed execute abandons the plan, so the lists are moved in).
+  std::vector<std::vector<RowId>> staged_rows;
+  std::vector<std::unique_ptr<Tabula>> staged;
   MergeOutput merge;
   bool executed = false;
   std::unique_ptr<ShardedTabula> fresh;  ///< full-rebuild path
 };
 
 Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
-  if (single_ != nullptr) return single_->PlanIngest();
-
   auto owned = std::make_unique<IngestPlanState>();
   IngestPlanState* plan = owned.get();
   const size_t n0 = refreshed_rows_;
@@ -83,22 +78,24 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
   // shifts the packed-key layout, and every stored key — in every
   // shard — would be stale. Rebuild the whole sharded cube (dirty set
   // stays empty ⇒ queries tag every answer conservatively stale).
-  TABULA_ASSIGN_OR_RETURN(
-      plan->new_encoder,
-      KeyEncoder::Make(*table_, options_.base.cubed_attributes));
-  for (size_t k = 0; k < plan->new_encoder.num_columns(); ++k) {
-    if (plan->new_encoder.Cardinality(k) != encoder_.Cardinality(k)) {
-      plan->full_rebuild = true;
-      plan->stats.full_rebuild = true;
-      return std::unique_ptr<IngestPlan>(std::move(owned));
-    }
+  TABULA_ASSIGN_OR_RETURN(bool layout_changed,
+                          Tabula::RemakeEncoder(*table_, options_.base,
+                                                encoder_, &plan->new_encoder));
+  if (layout_changed) {
+    plan->full_rebuild = true;
+    plan->stats.full_rebuild = true;
+    return std::unique_ptr<IngestPlan>(std::move(owned));
   }
 
-  // The merge pass needs every shard's finest states; rebuild any that
-  // are missing (e.g. after Load, which does not persist them). This
-  // mutates maintenance-only members no Query() path reads, so it is
-  // safe under the shared lock; the states describe rows [0, n0) only.
-  TABULA_RETURN_NOT_OK(EnsureFinestStates());
+  // The merge pass needs every shard's finest states and present set;
+  // a loaded partition re-derives them with one dry run over its rows.
+  // This mutates maintenance-only members no Query() path reads, so it
+  // is safe under the shared lock; the states describe rows [0, n0).
+  for (auto& part : parts_) {
+    if (part->finest_states_.empty() && !part->partition_rows_->empty()) {
+      TABULA_RETURN_NOT_OK(part->FoldPartitionStates());
+    }
+  }
 
   // Redraw the global sample over the grown table exactly as a
   // from-scratch build would (see the plain engine's PlanIngest for
@@ -107,17 +104,8 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
   // the re-merge classifies against the fresh sample and the merged
   // iceberg set converges to the from-scratch one.
   if (!options_.base.effective_loss()->StateDependsOnReference()) {
-    size_t global_size = SerflingSampleSize(options_.base.serfling_epsilon,
-                                            options_.base.serfling_delta);
-    // Bottom-k over (current sample ∪ appended rows) — equal to the
-    // full-table draw because bottom-k selection is decomposable (see
-    // the single-instance PlanIngest in core/refresh.cc).
-    std::vector<RowId> cand = global_sample_rows_;
-    cand.reserve(cand.size() + (n1 - n0));
-    for (size_t r = n0; r < n1; ++r) cand.push_back(static_cast<RowId>(r));
-    plan->staged_global_rows = ConsistentBottomKSample(
-        DatasetView(table_, std::move(cand)), global_size,
-        options_.base.seed);
+    plan->staged_global_rows = Tabula::DrawGlobalSample(
+        *table_, options_.base, global_sample_rows_, n0, n1);
     plan->staged_global = DatasetView(table_, plan->staged_global_rows);
     plan->adopt_global = true;
   }
@@ -127,7 +115,7 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
   // one (the smallest) shard at a time, deterministically.
   const size_t k = options_.num_shards;
   std::vector<size_t> sizes(k);
-  for (size_t s = 0; s < k; ++s) sizes[s] = shards_[s].rows.size();
+  for (size_t s = 0; s < k; ++s) sizes[s] = parts_[s]->partition_rows_->size();
   std::vector<std::vector<RowId>> appended(k);
   for (size_t r = n0; r < n1; ++r) {
     size_t s = ShardForNewRow(static_cast<RowId>(r), sizes);
@@ -140,12 +128,10 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
 
   // Staged row lists for the touched shards. Appended row ids exceed
   // every existing id, so the staged lists stay ascending.
-  plan->staged.resize(plan->touched.size());
-  for (size_t i = 0; i < plan->touched.size(); ++i) {
-    size_t s = plan->touched[i];
-    plan->staged[i].rows = shards_[s].rows;
-    plan->staged[i].rows.insert(plan->staged[i].rows.end(),
-                                appended[s].begin(), appended[s].end());
+  for (size_t s : plan->touched) {
+    std::vector<RowId>& rows = plan->staged_rows.emplace_back(
+        *parts_[s]->partition_rows_);
+    rows.insert(rows.end(), appended[s].begin(), appended[s].end());
   }
 
   // Dirty set: every cell (at every lattice level) holding a pending
@@ -165,10 +151,6 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
 }
 
 void ShardedTabula::BeginIngest(IngestPlan* plan) {
-  if (single_ != nullptr) {
-    single_->BeginIngest(plan);
-    return;
-  }
   auto* p = static_cast<IngestPlanState*>(plan);
   if (p->no_op) return;
   // Replace, not merge: a re-plan after a failed cycle recomputes a
@@ -179,7 +161,6 @@ void ShardedTabula::BeginIngest(IngestPlan* plan) {
 }
 
 Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
-  if (single_ != nullptr) return single_->ExecuteIngest(plan);
   auto* p = static_cast<IngestPlanState*>(plan);
   if (p->no_op) return Status::OK();
 
@@ -191,7 +172,7 @@ Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
     return Status::OK();
   }
 
-  // Rebuild ONLY the touched shards, into the staged copies (parallel,
+  // Rebuild ONLY the touched shards, into staged partitions (parallel,
   // one task per shard, like Initialize). The staged encoder codes the
   // appended rows; identical layout means identical keys for rows the
   // member encoder also covers.
@@ -199,51 +180,37 @@ Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
       p->adopt_global ? p->staged_global : global_sample_;
   const std::vector<RowId>& ref_rows =
       p->adopt_global ? p->staged_global_rows : global_sample_rows_;
-  std::vector<Status> statuses(p->touched.size(), Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(p->touched.size());
-  for (size_t i = 0; i < p->touched.size(); ++i) {
-    futures.push_back(
-        ThreadPool::Global().Submit([this, i, tracer, p, &ref, &statuses] {
-          statuses[i] = BuildShard(p->new_encoder, ref, tracer,
-                                   p->parent_span, &p->staged[i]);
-        }));
-  }
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < p->touched.size(); ++i) {
-    try {
-      futures[i].get();
-    } catch (const std::exception& e) {
-      if (first_error.ok()) {
-        first_error = Status::Internal(std::string("shard build threw: ") +
-                                       e.what());
-      }
-    }
-    if (first_error.ok() && !statuses[i].ok()) first_error = statuses[i];
-  }
-  TABULA_RETURN_NOT_OK(first_error);
+  TABULA_ASSIGN_OR_RETURN(
+      p->staged, BuildPartitions(std::move(p->staged_rows), p->new_encoder,
+                                 ref_rows, tracer, p->parent_span));
 
   // Re-merge over the mix of rebuilt and untouched shards (staged
-  // output; nothing committed yet). Untouched shards are read-only
-  // here — safe concurrently with queries.
-  std::vector<const Shard*> shard_ptrs(options_.num_shards);
+  // output; nothing committed yet). Untouched partitions are read-only
+  // here — safe concurrently with queries. With the tiered store, the
+  // merge reads their sample tables (and re-derives demoted slices),
+  // which concurrent query promotes mutate under each partition's
+  // exclusive section — hold their shared locks so the candidate
+  // gathers never see a half-written slot.
+  std::vector<const Tabula*> part_ptrs(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
-    shard_ptrs[s] = &shards_[s];
+    part_ptrs[s] = parts_[s].get();
   }
   for (size_t i = 0; i < p->touched.size(); ++i) {
-    shard_ptrs[p->touched[i]] = &p->staged[i];
+    part_ptrs[p->touched[i]] = p->staged[i].get();
   }
-  // With the tiered store, the merge reads untouched shards' sample
-  // tables (and re-derives demoted slices), which concurrent query
-  // promotes mutate under the exclusive section — hold the shared lock
-  // so the candidate gathers never see a half-written slot.
-  std::shared_lock<std::shared_mutex> store_lock(*store_mu_,
-                                                 std::defer_lock);
-  if (store_enabled()) store_lock.lock();
+  std::vector<std::shared_lock<std::shared_mutex>> store_locks;
+  if (store_enabled()) {
+    for (const auto& part : parts_) store_locks.emplace_back(*part->store_mu_);
+  }
   TABULA_ASSIGN_OR_RETURN(
-      p->merge,
-      MergeShardCubes(shard_ptrs, p->new_encoder, ref, ref_rows, tracer,
-                      p->parent_span));
+      p->merge, MergeShardCubes(part_ptrs, p->new_encoder, ref, ref_rows));
+  store_locks.clear();
+  // The staged partitions enter serving all-kWarm in their budget slices
+  // (untouched shards keep their tiers and hit counters).
+  for (auto& part : p->staged) {
+    part->cube_.DropRawData();
+    TABULA_RETURN_NOT_OK(part->AssignInitialTiers());
+  }
 
   // Directory diff for the maintenance stats.
   p->merge.merged.ForEach([&](uint64_t key, const MergedCell&) {
@@ -260,9 +227,6 @@ Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
 
 Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
                                    RefreshStats* stats) {
-  if (single_ != nullptr) {
-    return single_->CommitIngest(std::move(plan), stats);
-  }
   auto* p = static_cast<IngestPlanState*>(plan.get());
   if (p->no_op) {
     if (stats != nullptr) *stats = p->stats;
@@ -286,10 +250,9 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     lattice_ = fresh.lattice_;
     global_sample_rows_ = std::move(fresh.global_sample_rows_);
     global_sample_ = std::move(fresh.global_sample_);
-    shards_ = std::move(fresh.shards_);
+    parts_ = std::move(fresh.parts_);
     merged_ = std::move(fresh.merged_);
     override_samples_ = std::move(fresh.override_samples_);
-    shard_stores_ = std::move(fresh.shard_stores_);
     override_store_ = std::move(fresh.override_store_);
     stats_ = std::move(fresh.stats_);
     refreshed_rows_ = fresh.refreshed_rows_;
@@ -304,10 +267,11 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
   }
 
   // ---- Commit point: nothing below can fail. ----
-  // Tier transitions are commit-phase only: the exclusive store lock
-  // fences the shard/override swaps against in-flight promotes, touched
-  // shards' stores rebuild all-kWarm (their sample tables are fresh),
-  // untouched shards keep their tiers and hit counters.
+  // Tier transitions are commit-phase only: the caller's exclusive
+  // section fences the partition swap, and the exclusive store lock the
+  // override store's rebuild (all-kWarm) against in-flight promotes.
+  // The staged partitions arrive with their tiers assigned; untouched
+  // ones keep their tiers and hit counters.
   std::unique_lock<std::shared_mutex> store_lock(*store_mu_,
                                                  std::defer_lock);
   if (store_enabled()) store_lock.lock();
@@ -318,7 +282,7 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     stats_.global_sample_tuples = global_sample_.size();
   }
   for (size_t i = 0; i < p->touched.size(); ++i) {
-    shards_[p->touched[i]] = std::move(p->staged[i]);
+    parts_[p->touched[i]] = std::move(p->staged[i]);
   }
   merged_ = std::move(p->merge.merged);
   override_samples_ = std::move(p->merge.overrides);
@@ -327,10 +291,15 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
   stats_.union_accepted_cells = p->merge.union_accepted_cells;
   stats_.verified_cells = p->merge.verified_cells;
   stats_.resampled_cells = p->merge.resampled_cells;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    stats_.shard_iceberg_cells[s] = shards_[s].cube.size();
+  for (size_t s = 0; s < parts_.size(); ++s) {
+    stats_.shard_iceberg_cells[s] = parts_[s]->cube_.size();
   }
-  if (store_enabled()) RebuildStoresAfterCommitLocked(p->touched);
+  if (store_enabled()) {
+    // Configure without a spill path touches no filesystem state and
+    // cannot fail — the commit point stays infallible.
+    override_store_ = SampleStore();
+    TABULA_CHECK(AssignOverrideTiers().ok());
+  }
   refreshed_rows_ = p->target_rows;
   pending_dirty_.clear();
   ++generation_;
@@ -340,49 +309,16 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
 }
 
 Status ShardedTabula::Refresh(RefreshStats* stats) {
-  if (single_ != nullptr) return single_->Refresh(stats);
-
-  Stopwatch timer;
-  RefreshStats local;
-  RefreshStats* out = stats != nullptr ? stats : &local;
-  *out = RefreshStats{};
-
-  Tracer* tracer = options_.base.tracer;
-  Span span;
-  if (tracer != nullptr) span = tracer->StartSpan("tabula.refresh");
-  size_t touched_shards = 0;
-  auto finish = [&]() {
-    if (span.recording()) {
-      span.SetAttribute("new_rows", out->new_rows);
-      span.SetAttribute("new_iceberg_cells", out->new_iceberg_cells);
-      span.SetAttribute("dropped_iceberg_cells", out->dropped_iceberg_cells);
-      span.SetAttribute("rechecked_cells", out->rechecked_cells);
-      span.SetAttribute("resampled_cells", out->resampled_cells);
-      span.SetAttribute("full_rebuild", out->full_rebuild);
-      span.SetAttribute("touched_shards", touched_shards);
-      out->millis = span.End();
-    } else {
-      out->millis = timer.ElapsedMillis();
-    }
-  };
-
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<IngestPlan> plan, PlanIngest());
-  if (plan->no_op) {
-    finish();
-    return Status::OK();
-  }
-  auto* p = static_cast<IngestPlanState*>(plan.get());
-  p->parent_span = span.id();
-  touched_shards =
-      p->full_rebuild ? options_.num_shards : p->touched.size();
-  BeginIngest(plan.get());
-  // On failure the staged plan dies here; pending_dirty_ stays
-  // published — answers keep tagging stale (rows still pend) until a
-  // later cycle commits or re-plans.
-  TABULA_RETURN_NOT_OK(ExecuteIngest(plan.get()));
-  TABULA_RETURN_NOT_OK(CommitIngest(std::move(plan), out));
-  finish();
-  return Status::OK();
+  // The single-instance composition; each cycle's shard builds parent
+  // under its refresh span.
+  return Tabula::RunRefresh(
+      this, options_.base.tracer, stats, [this](IngestPlan* plan, Span* span) {
+        auto* p = static_cast<IngestPlanState*>(plan);
+        p->parent_span = span->id();
+        span->SetAttribute("touched_shards", p->full_rebuild
+                                                 ? options_.num_shards
+                                                 : p->touched.size());
+      });
 }
 
 }  // namespace tabula

@@ -16,45 +16,31 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "core/where_clause.h"
 #include "shard/sharded_tabula.h"
 #include "storage/predicate.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
 
-SpatialGrid::Context ShardedTabula::SpatialContext() const {
-  SpatialGrid::Context ctx;
-  ctx.table = table_;
-  ctx.loss = options_.base.effective_loss();
-  ctx.threshold = options_.base.threshold;
-  ctx.sampler = options_.base.sampler;
-  ctx.sampler.seed = options_.base.seed;
-  ctx.ref = global_sample_;
-  return ctx;
-}
-
 Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
                                  TabulaQueryResult* result) const {
-  if (shards_.empty() || !shards_[0].grid.present()) {
+  if (!parts_[0]->grid_.present()) {
     return Status::InvalidArgument(
         "this engine has no spatial grid (enable TabulaOptions.spatial to "
         "serve bbox queries)");
   }
-  const SpatialGrid& g0 = shards_[0].grid;
+  const SpatialGrid& g0 = parts_[0]->grid_;
   TABULA_ASSIGN_OR_RETURN(SpatialGrid::ResolvedBBox box,
                           g0.Resolve(request.range));
-  for (const auto& term : request.where) {
-    if (term.column == g0.options().x_column ||
-        term.column == g0.options().y_column) {
-      return Status::InvalidArgument(
-          "cannot mix a spatial range and an equality predicate on '" +
-          term.column + "'");
-    }
-  }
+  TABULA_RETURN_NOT_OK(CheckRangeTermsDisjoint(g0.options(), request.where));
   // Spatial cells live outside the cube's dirty-key space, so staleness
   // tagging is conservative, like the plain engine's range path.
   result->stale = has_pending;
-  SpatialGrid::Context ctx = SpatialContext();
+  // Grid calls classify against the coordinator's global sample (a
+  // partition built before an adopted redraw still holds the old one).
+  SpatialGrid::Context ctx = parts_[0]->SpatialContext();
+  ctx.ref = global_sample_;
 
   // One probed visit to shard `s`, shared by the pure and hybrid paths:
   // the legacy whole-group `shard.query` seam, then replica failover,
@@ -85,11 +71,11 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
   if (request.where.empty()) {
     Stopwatch fanout_timer;
     std::vector<SpatialGrid::RangeAnswer> partials;
-    partials.reserve(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
+    partials.reserve(parts_.size());
+    for (size_t s = 0; s < parts_.size(); ++s) {
       visit_shard(s, [&]() -> Status {
         TABULA_ASSIGN_OR_RETURN(SpatialGrid::RangeAnswer partial,
-                                shards_[s].grid.RangeQuery(ctx, box));
+                                parts_[s]->grid_.RangeQuery(ctx, box));
         partials.push_back(std::move(partial));
         return Status::OK();
       });
@@ -117,9 +103,9 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
     // scan produces, so re-drawn samples are K-invariant.
     auto gather_raw = [&]() -> Result<std::vector<RowId>> {
       std::vector<RowId> raw;
-      for (const Shard& shard : shards_) {
+      for (const auto& part : parts_) {
         TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
-                                shard.grid.GatherRangeRows(ctx, box));
+                                part->grid_.GatherRangeRows(ctx, box));
         raw.insert(raw.end(), rows.begin(), rows.end());
       }
       std::sort(raw.begin(), raw.end());
@@ -138,47 +124,22 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
     return Status::OK();
   }
 
-  // Hybrid bbox + equality: identical WHERE-clause contract (and error
-  // wording) as the equality path, then filter the union of the shards'
-  // bbox rows — which equals the single-instance row set, so exact
-  // answers and query-time re-samples are K-invariant byte for byte.
-  const auto& names = encoder_.column_names();
-  std::vector<uint32_t> codes(names.size(), kNullCode);
+  // Hybrid bbox + equality: the equality path's WHERE-clause contract
+  // (and error wording), then filter the union of the shards' bbox rows
+  // — which equals the single-instance row set, so exact answers and
+  // query-time re-samples are K-invariant byte for byte.
+  std::vector<uint32_t> codes;
   bool provably_empty = false;
-  for (const auto& term : request.where) {
-    if (term.op != CompareOp::kEq) {
-      return Status::InvalidArgument(
-          "sampling-cube queries support equality predicates only (got '" +
-          term.column + " " + CompareOpName(term.op) + " ...')");
-    }
-    auto it = std::find(names.begin(), names.end(), term.column);
-    if (it == names.end()) {
-      return Status::InvalidArgument(
-          "'" + term.column +
-          "' is not a cubed attribute; WHERE-clause attributes must be a "
-          "subset of the cubed attributes of the initialization query");
-    }
-    size_t k = static_cast<size_t>(it - names.begin());
-    if (codes[k] != kNullCode) {
-      return Status::InvalidArgument("duplicate predicate on '" +
-                                     term.column + "'");
-    }
-    auto code = encoder_.CodeForValue(k, term.literal);
-    if (!code.ok()) {
-      // The value never occurs in the data; later terms are not
-      // validated, matching the equality path's short-circuit.
-      provably_empty = true;
-      break;
-    }
-    codes[k] = code.value();
-  }
+  TABULA_RETURN_NOT_OK(ValidateEqualityTerms(encoder_, request.where, &codes,
+                                            &provably_empty));
+  std::vector<RowId> matching;
   if (!provably_empty) {
     Stopwatch fanout_timer;
     std::vector<RowId> rows;
-    for (size_t s = 0; s < shards_.size(); ++s) {
+    for (size_t s = 0; s < parts_.size(); ++s) {
       visit_shard(s, [&]() -> Status {
         TABULA_ASSIGN_OR_RETURN(std::vector<RowId> shard_rows,
-                                shards_[s].grid.GatherRangeRows(ctx, box));
+                                parts_[s]->grid_.GatherRangeRows(ctx, box));
         rows.insert(rows.end(), shard_rows.begin(), shard_rows.end());
         return Status::OK();
       });
@@ -188,7 +149,7 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
         .RecordMillis(fanout_timer.ElapsedMillis());
     TABULA_ASSIGN_OR_RETURN(BoundPredicate pred,
                             BoundPredicate::Bind(*table_, request.where));
-    std::vector<RowId> matching = pred.FilterRows(rows);
+    matching = pred.FilterRows(rows);
     if (!result->unavailable_shards.empty()) {
       metrics_.counter("shard_degraded_answers").Increment();
       matching.insert(matching.end(), global_sample_rows_.begin(),
@@ -197,23 +158,9 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
       result->sample = DatasetView(table_, std::move(matching));
       return Status::OK();
     }
-    if (!matching.empty()) {
-      result->from_local_sample = true;
-      size_t cap = g0.options().resample_cap;
-      if (cap == 0 || matching.size() <= cap) {
-        result->sample = DatasetView(table_, std::move(matching));
-      } else {
-        GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                                sampler.Sample(DatasetView(table_, matching)));
-        result->sample = DatasetView(table_, std::move(sample));
-      }
-      return Status::OK();
-    }
   }
-  result->empty_cell = true;
-  result->sample = DatasetView(table_, {});
-  return Status::OK();
+  return Tabula::AnswerHybridRange(ctx, g0.options().resample_cap,
+                                   std::move(matching), result);
 }
 
 }  // namespace tabula

@@ -1,15 +1,15 @@
 /// \file
 /// Tiered-sample-store integration of the sharded engine (DESIGN.md
-/// §12): the global byte budget splits over K shard stores plus the
-/// coordinator's override store, each enforcing its slice with the same
-/// CLOCK demotion the single-instance store uses. The sharded engine
-/// demotes in drop mode only — per-shard cell rows re-derive from the
-/// shard's row list, and the deterministic sampler (build seed) restores
-/// the exact build-time bytes, so a spill side file buys nothing and
-/// `spill_path` is rejected at K > 1. Hot upgrades are single-instance
-/// only (the scatter-gather answer is a union of slices; tightening one
-/// slice's θ does not tighten the union's bound). Everything here is
-/// inert when `base.store.budget_bytes == 0`.
+/// §12): the global byte budget splits over K partition stores plus the
+/// coordinator's override store. Each partition is a Tabula whose own
+/// store enforces its slice — CLOCK demotion, lazy promote-on-miss
+/// through ServeStoredSample — so this file holds only the override
+/// store and the K > 1 rules: drop mode only (cold shard samples
+/// re-derive deterministically from the partition's rows, so a spill
+/// side file buys nothing and `spill_path` is rejected) and no hot
+/// upgrades (the scatter-gather answer is a union of slices; tightening
+/// one slice's θ does not tighten the union's bound). Everything here
+/// is inert when `base.store.budget_bytes == 0`.
 
 #include <algorithm>
 #include <mutex>
@@ -17,21 +17,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "sampling/greedy_sampler.h"
 #include "shard/sharded_tabula.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
-
-namespace {
-
-uint64_t TupleBytes(const Table& table) {
-  if (table.num_rows() == 0) return sizeof(RowId);
-  return std::max<uint64_t>(table.MemoryBytes() / table.num_rows(), 1);
-}
-
-}  // namespace
 
 uint64_t ShardedTabula::ShardStoreBudget() const {
   return options_.base.store.budget_bytes / (options_.num_shards + 1);
@@ -42,7 +32,7 @@ uint64_t ShardedTabula::OverrideStoreBudget() const {
          options_.num_shards * ShardStoreBudget();
 }
 
-Status ShardedTabula::AssignInitialTiers() {
+Status ShardedTabula::ValidateStoreOptions() const {
   if (!store_enabled()) return Status::OK();
   const SampleStoreOptions& opts = options_.base.store;
   if (!opts.spill_path.empty()) {
@@ -56,126 +46,30 @@ Status ShardedTabula::AssignInitialTiers() {
         "store.budget_bytes must be at least num_shards + 1 so every "
         "shard store (and the override store) gets a non-zero slice");
   }
-  if (opts.hot_theta_factor <= 0.0 || opts.hot_theta_factor > 1.0) {
-    return Status::InvalidArgument(
-        "store.hot_theta_factor must be in (0, 1]");
-  }
-  // Load() configures the K + 1 stores itself before adopting persisted
-  // tier records (a reconfigure would wipe them); only configure here
-  // when that has not happened. The override store doubles as the
-  // sentinel — all K + 1 stores configure together.
+  // The remaining knobs are the partitions' to validate.
+  return Status::OK();
+}
+
+Status ShardedTabula::AssignOverrideTiers() {
+  if (!store_enabled()) return Status::OK();
+  // Load() configures the store itself before adopting persisted tier
+  // records (a reconfigure would wipe them).
   if (!override_store_.enabled()) {
-    while (shard_stores_.size() < shards_.size()) {
-      shard_stores_.emplace_back();
-    }
-    SampleStoreOptions shard_opts = opts;
-    shard_opts.budget_bytes = ShardStoreBudget();
-    for (SampleStore& store : shard_stores_) {
-      TABULA_RETURN_NOT_OK(store.Configure(shard_opts));
-    }
-    SampleStoreOptions override_opts = opts;
-    override_opts.budget_bytes = OverrideStoreBudget();
-    TABULA_RETURN_NOT_OK(override_store_.Configure(override_opts));
-  }
-  const uint64_t tuple_bytes = TupleBytes(*table_);
-  // Shard builds persist every local sample individually (no
-  // representative sharing at K > 1), but refs are still derived from
-  // the cube so an adopted manifest can never under-count.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    std::vector<uint32_t> refs(shard.samples.size(), 0);
-    for (const auto& cell : shard.cube.cells()) {
-      if (cell.sample_id != kInvalidSampleId) ++refs[cell.sample_id];
-    }
-    for (uint32_t id = 0; id < shard.samples.size(); ++id) {
-      if (shard_stores_[s].tracked(id)) continue;  // Load() adopted it
-      shard_stores_[s].Track(id, shard.samples.sample(id).size() * tuple_bytes,
-                             SampleTier::kWarm, refs[id]);
-    }
-    EnforceShardBudgetLocked(&shard_stores_[s], &shards_[s].samples);
+    SampleStoreOptions opts = options_.base.store;
+    opts.budget_bytes = OverrideStoreBudget();
+    TABULA_RETURN_NOT_OK(override_store_.Configure(opts));
   }
   std::vector<uint32_t> refs(override_samples_.size(), 0);
   merged_.ForEach([&](uint64_t, const MergedCell& cell) {
     if (cell.has_override) ++refs[cell.override_id];
   });
+  const uint64_t tuple_bytes = parts_.front()->BytesPerTuple();
   for (uint32_t id = 0; id < override_samples_.size(); ++id) {
-    if (override_store_.tracked(id)) continue;
+    if (override_store_.tracked(id)) continue;  // Load() adopted it
     override_store_.Track(id, override_samples_.sample(id).size() * tuple_bytes,
                           SampleTier::kWarm, refs[id]);
   }
-  EnforceShardBudgetLocked(&override_store_, &override_samples_);
-  return Status::OK();
-}
-
-void ShardedTabula::EnforceShardBudgetLocked(SampleStore* store,
-                                             SampleTable* samples,
-                                             uint64_t incoming,
-                                             uint32_t protect) const {
-  const uint64_t budget = store->budget();
-  const uint64_t target = budget > incoming ? budget - incoming : 0;
-  const uint64_t current = store->bytes();
-  if (current <= target) return;
-  std::vector<uint32_t> victims =
-      store->PlanEvictions(current - target, protect);
-  for (uint32_t id : victims) {
-    std::vector<RowId> rows = samples->TakeSample(id);
-    store->Demote(id, rows);
-  }
-}
-
-std::vector<RowId> ShardedTabula::CellRowsIn(const Shard& shard,
-                                             const KeyEncoder& enc,
-                                             uint64_t key,
-                                             CuboidMask cuboid) const {
-  // Same derivation as the BuildShard join pass restricted to one key:
-  // the shard row list is ascending, so the gather order (and therefore
-  // a re-drawn sample) reproduces the build bytes.
-  std::vector<RowId> rows;
-  for (RowId r : shard.rows) {
-    if (packer_.PackRowMasked(enc, r, cuboid) == key) rows.push_back(r);
-  }
-  return rows;
-}
-
-std::vector<RowId> ShardedTabula::GatherShardCellRows(
-    size_t shard, uint64_t key, CuboidMask cuboid) const {
-  return CellRowsIn(shards_[shard], encoder_, key, cuboid);
-}
-
-Status ShardedTabula::PromoteShardCellLocked(size_t shard, uint64_t key,
-                                             std::vector<RowId>* out) const {
-  TABULA_FAULT_POINT("store.promote");
-  IcebergCell* cell = shards_[shard].cube.FindMutable(key);
-  if (cell == nullptr) {
-    return Status::Internal("promote on a cell the shard cube lost");
-  }
-  const uint32_t id = cell->sample_id;
-  std::vector<RowId> rows = GatherShardCellRows(shard, key, cell->cuboid);
-  if (rows.empty()) {
-    return Status::Internal("shard iceberg cell has no rows in its shard");
-  }
-  // Deterministic re-draw with the build seed: the restored bytes equal
-  // the ones BuildShard drew, so demote → promote round-trips exactly.
-  GreedySamplerOptions sampler_opts = options_.base.sampler;
-  sampler_opts.seed = options_.base.seed;
-  GreedySampler sampler(options_.base.effective_loss(),
-                        options_.base.threshold, sampler_opts);
-  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                          sampler.Sample(DatasetView(table_, rows)));
-  out->insert(out->end(), sample.begin(), sample.end());
-
-  SampleStore& store = shard_stores_[shard];
-  const uint64_t bytes = sample.size() * TupleBytes(*table_);
-  EnforceShardBudgetLocked(&store, &shards_[shard].samples, bytes, id);
-  if (store.bytes() + bytes > store.budget()) {
-    // The sample alone cannot fit this shard's slice of the budget
-    // (everything else is already cold): served, not retained.
-    store.CountPromote();
-    return Status::OK();
-  }
-  shards_[shard].samples.SetSample(id, std::move(sample));
-  store.MarkResident(id, bytes, SampleTier::kWarm);
-  store.CountPromote();
+  Tabula::EnforceStoreBudgetLocked(&override_store_, &override_samples_);
   return Status::OK();
 }
 
@@ -185,11 +79,18 @@ Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
   TABULA_FAULT_POINT("store.promote");
   // The merge drew this override from the union of the cell's shard
   // slices, sorted ascending (shard slices are disjoint row sets, so
-  // the sort restores the exact full-table gather). Reproduce it.
+  // the sort restores the exact full-table gather). Reproduce it from
+  // each partition's row index; a partition holding no rows of the cell
+  // (GatherCellRows' only failure) contributes nothing.
+  IcebergCell probe;
+  probe.key = key;
+  probe.cuboid = cell.cuboid;
   std::vector<RowId> rows;
-  for (const Shard& shard : shards_) {
-    std::vector<RowId> slice = CellRowsIn(shard, encoder_, key, cell.cuboid);
-    rows.insert(rows.end(), slice.begin(), slice.end());
+  for (const auto& part : parts_) {
+    std::vector<RowId> slice;
+    if (part->GatherCellRows(probe, &slice).ok()) {
+      rows.insert(rows.end(), slice.begin(), slice.end());
+    }
   }
   std::sort(rows.begin(), rows.end());
   if (rows.empty()) {
@@ -204,9 +105,12 @@ Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
   out->insert(out->end(), sample.begin(), sample.end());
 
   const uint32_t id = cell.override_id;
-  const uint64_t bytes = sample.size() * TupleBytes(*table_);
-  EnforceShardBudgetLocked(&override_store_, &override_samples_, bytes, id);
+  const uint64_t bytes = sample.size() * parts_.front()->BytesPerTuple();
+  Tabula::EnforceStoreBudgetLocked(&override_store_, &override_samples_,
+                                   bytes, id);
   if (override_store_.bytes() + bytes > override_store_.budget()) {
+    // The sample alone cannot fit the override slice: served, not
+    // retained.
     override_store_.CountPromote();
     return Status::OK();
   }
@@ -216,51 +120,12 @@ Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
   return Status::OK();
 }
 
-void ShardedTabula::RebuildStoresAfterCommitLocked(
-    const std::vector<size_t>& touched) const {
-  const uint64_t tuple_bytes = TupleBytes(*table_);
-  SampleStoreOptions shard_opts = options_.base.store;
-  shard_opts.budget_bytes = ShardStoreBudget();
-  for (size_t s : touched) {
-    SampleStore fresh;
-    // Configure without a spill path touches no filesystem state and
-    // cannot fail — the commit point stays infallible.
-    TABULA_CHECK(fresh.Configure(shard_opts).ok());
-    shard_stores_[s] = std::move(fresh);
-    const Shard& shard = shards_[s];
-    std::vector<uint32_t> refs(shard.samples.size(), 0);
-    for (const auto& cell : shard.cube.cells()) {
-      if (cell.sample_id != kInvalidSampleId) ++refs[cell.sample_id];
-    }
-    for (uint32_t id = 0; id < shard.samples.size(); ++id) {
-      shard_stores_[s].Track(id, shard.samples.sample(id).size() * tuple_bytes,
-                             SampleTier::kWarm, refs[id]);
-    }
-    EnforceShardBudgetLocked(&shard_stores_[s], &shards_[s].samples);
-  }
-  SampleStoreOptions override_opts = options_.base.store;
-  override_opts.budget_bytes = OverrideStoreBudget();
-  SampleStore fresh;
-  TABULA_CHECK(fresh.Configure(override_opts).ok());
-  override_store_ = std::move(fresh);
-  std::vector<uint32_t> refs(override_samples_.size(), 0);
-  merged_.ForEach([&](uint64_t, const MergedCell& cell) {
-    if (cell.has_override) ++refs[cell.override_id];
-  });
-  for (uint32_t id = 0; id < override_samples_.size(); ++id) {
-    override_store_.Track(id, override_samples_.sample(id).size() * tuple_bytes,
-                          SampleTier::kWarm, refs[id]);
-  }
-  EnforceShardBudgetLocked(&override_store_, &override_samples_);
-}
-
 SampleStoreStats ShardedTabula::StoreStats() const {
-  if (single_ != nullptr) return single_->sample_store().Stats();
   SampleStoreStats total;
   total.budget_bytes = options_.base.store.budget_bytes;
   if (!store_enabled()) return total;
-  std::shared_lock<std::shared_mutex> lock(*store_mu_);
-  auto fold = [&](const SampleStore& store) {
+  auto fold = [&](const SampleStore& store, std::shared_mutex& mu) {
+    std::shared_lock<std::shared_mutex> lock(mu);
     SampleStoreStats s = store.Stats();
     total.resident_bytes += s.resident_bytes;
     total.hot_samples += s.hot_samples;
@@ -274,17 +139,16 @@ SampleStoreStats ShardedTabula::StoreStats() const {
     total.spill_write_failures += s.spill_write_failures;
     total.promote_failures += s.promote_failures;
   };
-  for (const SampleStore& store : shard_stores_) fold(store);
-  fold(override_store_);
+  for (const auto& part : parts_) fold(part->store_, *part->store_mu_);
+  fold(override_store_, *store_mu_);
   return total;
 }
 
 uint64_t ShardedTabula::StoreBytes() const {
-  if (single_ != nullptr) return single_->sample_store().bytes();
   if (!store_enabled()) return 0;
-  uint64_t bytes = 0;
-  for (const SampleStore& store : shard_stores_) bytes += store.bytes();
-  return bytes + override_store_.bytes();
+  uint64_t bytes = override_store_.bytes();
+  for (const auto& part : parts_) bytes += part->store_.bytes();
+  return bytes;
 }
 
 }  // namespace tabula

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "sampling/random_sampler.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
@@ -25,55 +24,35 @@ const char* ShardPartitionName(ShardPartition partition) {
 
 Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Initialize(
     const Table& table, ShardedTabulaOptions options) {
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
+  if (options.num_shards < 2) {
+    return Status::InvalidArgument(
+        "num_shards must be >= 2 (a single-instance deployment is a plain "
+        "Tabula)");
   }
   auto sharded = std::unique_ptr<ShardedTabula>(new ShardedTabula());
   sharded->table_ = &table;
   sharded->options_ = std::move(options);
-
-  if (sharded->options_.num_shards == 1) {
-    // Strict pass-through: the plain middleware answers everything, so
-    // K = 1 is bit-identical to an unsharded deployment by construction.
-    TABULA_ASSIGN_OR_RETURN(
-        sharded->single_, Tabula::Initialize(table, sharded->options_.base));
-    const TabulaInitStats& s = sharded->single_->init_stats();
-    sharded->stats_.num_shards = 1;
-    sharded->stats_.global_sample_tuples = s.global_sample_tuples;
-    sharded->stats_.merged_iceberg_cells = s.iceberg_cells;
-    sharded->stats_.build_millis = s.total_millis;
-    sharded->stats_.total_millis = s.total_millis;
-    sharded->stats_.critical_path_millis = s.total_millis;
-    sharded->stats_.shard_build_millis = {s.total_millis};
-    sharded->stats_.shard_iceberg_cells = {s.iceberg_cells};
-    return sharded;
-  }
   TABULA_RETURN_NOT_OK(sharded->InitializeSharded(table));
   sharded->InitReplicas();
   return sharded;
 }
 
 size_t ShardedTabula::replicas_per_shard() const {
-  if (single_ != nullptr) return 1;
   return options_.replicas_per_shard == 0 ? 1 : options_.replicas_per_shard;
 }
 
 void ShardedTabula::InitReplicas() {
   replicas_.clear();
-  const size_t total = shards_.size() * replicas_per_shard();
+  const size_t total = parts_.size() * replicas_per_shard();
   for (size_t i = 0; i < total; ++i) replicas_.emplace_back();
 }
 
 Status ShardedTabula::SetReplicaDown(size_t shard, size_t replica,
                                      bool down) {
-  if (single_ != nullptr) {
-    return Status::InvalidArgument(
-        "replica control requires a sharded deployment (num_shards > 1)");
-  }
-  if (shard >= shards_.size()) {
+  if (shard >= parts_.size()) {
     return Status::InvalidArgument("shard " + std::to_string(shard) +
                                    " out of range (K = " +
-                                   std::to_string(shards_.size()) + ")");
+                                   std::to_string(parts_.size()) + ")");
   }
   if (replica >= replicas_per_shard()) {
     return Status::InvalidArgument(
@@ -85,15 +64,14 @@ Status ShardedTabula::SetReplicaDown(size_t shard, size_t replica,
 }
 
 bool ShardedTabula::replica_down(size_t shard, size_t replica) const {
-  if (single_ != nullptr || shard >= shards_.size() ||
-      replica >= replicas_per_shard()) {
+  if (shard >= parts_.size() || replica >= replicas_per_shard()) {
     return false;
   }
   return replica_state(shard, replica).down.load(std::memory_order_acquire);
 }
 
 size_t ShardedTabula::HealthyReplicaCount(size_t shard) const {
-  if (single_ != nullptr || shard >= shards_.size()) return 0;
+  if (shard >= parts_.size()) return 0;
   size_t healthy = 0;
   for (size_t j = 0; j < replicas_per_shard(); ++j) {
     if (!replica_state(shard, j).down.load(std::memory_order_acquire)) {
@@ -103,24 +81,18 @@ size_t ShardedTabula::HealthyReplicaCount(size_t shard) const {
   return healthy;
 }
 
+TabulaOptions ShardedTabula::PartitionOptions() const {
+  TabulaOptions opts = options_.base;
+  opts.enable_sample_selection = false;
+  opts.store.budget_bytes = store_enabled() ? ShardStoreBudget() : 0;
+  opts.store.hot_promote_hits = std::numeric_limits<uint64_t>::max();
+  return opts;
+}
+
 Status ShardedTabula::InitializeSharded(const Table& table) {
   const TabulaOptions& base = options_.base;
-  const LossFunction* loss = base.effective_loss();
-  if (loss == nullptr) {
-    return Status::InvalidArgument("TabulaOptions.loss must be set");
-  }
-  if (base.cubed_attributes.empty()) {
-    return Status::InvalidArgument("at least one cubed attribute required");
-  }
-  if (base.threshold <= 0.0) {
-    return Status::InvalidArgument("accuracy loss threshold must be > 0");
-  }
-  for (const auto& col : loss->InputColumns()) {
-    if (!table.schema().HasField(col)) {
-      return Status::NotFound("loss function input column '" + col +
-                              "' not in table");
-    }
-  }
+  TABULA_RETURN_NOT_OK(Tabula::ValidateOptions(table, base));
+  TABULA_RETURN_NOT_OK(ValidateStoreOptions());
 
   // Same span discipline as Tabula::Initialize: a local always-on
   // tracer stands in when the caller's cannot record, so stats are
@@ -147,87 +119,52 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
   // makes the per-shard loss states merge to the single-instance
   // states (same reference ⇒ same accumulation), which in turn makes
   // the merged iceberg set equal the single-instance set.
-  {
-    size_t global_size =
-        SerflingSampleSize(base.serfling_epsilon, base.serfling_delta);
-    DatasetView all(&table);
-    global_sample_rows_ = ConsistentBottomKSample(all, global_size, base.seed);
-    global_sample_ = DatasetView(&table, global_sample_rows_);
-    stats_.global_sample_tuples = global_sample_.size();
-  }
+  global_sample_rows_ =
+      Tabula::DrawGlobalSample(table, base, {}, 0, table.num_rows());
+  global_sample_ = DatasetView(&table, global_sample_rows_);
+  stats_.global_sample_tuples = global_sample_.size();
 
   // Partition the row space. Shard row lists stay ascending under both
   // schemes, so per-shard accumulation order is deterministic.
   const size_t k = options_.num_shards;
-  shards_.assign(k, Shard{});
   const size_t n = table.num_rows();
+  std::vector<std::vector<RowId>> rows(k);
   if (options_.partition == ShardPartition::kHash) {
-    for (size_t s = 0; s < k; ++s) shards_[s].rows.reserve(n / k + 1);
+    for (size_t s = 0; s < k; ++s) rows[s].reserve(n / k + 1);
     for (size_t r = 0; r < n; ++r) {
-      shards_[HashKey64(r) % k].rows.push_back(static_cast<RowId>(r));
+      rows[HashKey64(r) % k].push_back(static_cast<RowId>(r));
     }
   } else {
     for (size_t s = 0; s < k; ++s) {
-      size_t begin = n * s / k;
-      size_t end = n * (s + 1) / k;
-      shards_[s].rows.reserve(end - begin);
-      for (size_t r = begin; r < end; ++r) {
-        shards_[s].rows.push_back(static_cast<RowId>(r));
+      for (size_t r = n * s / k; r < n * (s + 1) / k; ++r) {
+        rows[s].push_back(static_cast<RowId>(r));
       }
     }
   }
 
-  // Parallel per-shard builds: one coarse task per shard. Nested
-  // ParallelFor calls inside a worker run inline, so each task is a
-  // self-contained sequential build — no cross-shard synchronization
-  // until the merge barrier below, and the output is a pure function
-  // of the shard's rows regardless of worker count.
   Span build_span = tracer->StartSpan("shard.build_all", init_span.id());
-  Stopwatch build_timer;
-  std::vector<Status> statuses(k, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(k);
-  for (size_t s = 0; s < k; ++s) {
-    futures.push_back(ThreadPool::Global().Submit([this, s, tracer,
-                                                   &build_span, &statuses] {
-      statuses[s] = BuildShard(encoder_, global_sample_, tracer,
-                               build_span.id(), &shards_[s]);
-    }));
-  }
-  Status first_error = Status::OK();
-  for (size_t s = 0; s < k; ++s) {
-    try {
-      futures[s].get();
-    } catch (const std::exception& e) {
-      // A thrown injected fault (or any escaped exception) fails init
-      // like a Status would — atomically, nothing published.
-      if (first_error.ok()) {
-        first_error = Status::Internal(std::string("shard build threw: ") +
-                                       e.what());
-      }
-    }
-    if (first_error.ok() && !statuses[s].ok()) first_error = statuses[s];
-  }
+  auto built = BuildPartitions(std::move(rows), encoder_, global_sample_rows_,
+                               tracer, build_span.id());
   stats_.build_millis = build_span.End();
-  if (!first_error.ok()) return first_error;
+  if (!built.ok()) return built.status();
+  parts_ = std::move(built).value();
 
   stats_.num_shards = k;
   stats_.shard_build_millis.clear();
   stats_.shard_iceberg_cells.clear();
-  for (const Shard& shard : shards_) {
-    stats_.shard_build_millis.push_back(shard.build_millis);
-    stats_.shard_iceberg_cells.push_back(shard.cube.size());
+  for (const auto& part : parts_) {
+    stats_.shard_build_millis.push_back(part->stats_.total_millis);
+    stats_.shard_iceberg_cells.push_back(part->cube_.size());
   }
 
   // Merge + θ re-verification.
   Span merge_span = tracer->StartSpan("shard.merge", init_span.id());
-  std::vector<const Shard*> shard_ptrs;
-  shard_ptrs.reserve(k);
-  for (const Shard& shard : shards_) shard_ptrs.push_back(&shard);
+  std::vector<const Tabula*> part_ptrs;
+  for (const auto& part : parts_) part_ptrs.push_back(part.get());
   TABULA_ASSIGN_OR_RETURN(
       MergeOutput merge,
-      MergeShardCubes(shard_ptrs, encoder_, global_sample_,
-                      global_sample_rows_, tracer, merge_span.id()));
+      MergeShardCubes(part_ptrs, encoder_, global_sample_,
+                      global_sample_rows_));
   merged_ = std::move(merge.merged);
   override_samples_ = std::move(merge.overrides);
   stats_.merged_iceberg_cells = merged_.size();
@@ -239,11 +176,14 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
   merge_span.SetAttribute("conflict_cells", merge.conflict_cells);
   merge_span.SetAttribute("resampled_cells", merge.resampled_cells);
   stats_.merge_millis = merge_span.End();
+  for (auto& part : parts_) part->cube_.DropRawData();
 
-  // Tiered store: split the byte budget over the K shard stores + the
-  // override store and register every sample at kWarm (inert when
-  // base.store.budget_bytes == 0).
-  TABULA_RETURN_NOT_OK(AssignInitialTiers());
+  // Tiered store: each partition registers its samples at kWarm in its
+  // slice of the budget, and so does the override store (inert when
+  // base.store.budget_bytes == 0). After the merge, which read every
+  // build-time sample resident.
+  for (auto& part : parts_) TABULA_RETURN_NOT_OK(part->AssignInitialTiers());
+  TABULA_RETURN_NOT_OK(AssignOverrideTiers());
 
   refreshed_rows_ = n;
   init_span.SetAttribute("merged_iceberg_cells",
@@ -260,120 +200,64 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
   return Status::OK();
 }
 
-Status ShardedTabula::BuildShard(const KeyEncoder& enc,
-                                 const DatasetView& ref, Tracer* tracer,
-                                 uint64_t parent_span, Shard* shard) const {
-  Span span;
-  if (tracer != nullptr) {
-    span = tracer->StartSpan("shard.build", parent_span, /*opt_in=*/true);
+Result<std::vector<std::unique_ptr<Tabula>>> ShardedTabula::BuildPartitions(
+    std::vector<std::vector<RowId>> rows, const KeyEncoder& enc,
+    const std::vector<RowId>& ref_rows, Tracer* tracer,
+    uint64_t parent_span) const {
+  // One coarse task per partition. Nested ParallelFor calls inside a
+  // worker run inline, so each task is a self-contained sequential
+  // build — no cross-shard synchronization until the merge barrier, and
+  // the output is a pure function of the partition's rows regardless of
+  // worker count. Stage spans need a recording tracer; a local one
+  // stands in for the caller's when it cannot record.
+  Tracer local_tracer(TracerOptions{TraceMode::kAll, /*capacity=*/64});
+  if (tracer == nullptr || !tracer->enabled()) tracer = &local_tracer;
+  const size_t k = rows.size();
+  std::vector<std::unique_ptr<Tabula>> parts(k);
+  std::vector<Status> statuses(k, Status::OK());
+  std::vector<std::future<void>> futures;
+  futures.reserve(k);
+  for (size_t s = 0; s < k; ++s) {
+    futures.push_back(ThreadPool::Global().Submit([&, s] {
+      statuses[s] = [&]() -> Status {
+        Span span = tracer->StartSpan("shard.build", parent_span,
+                                      /*opt_in=*/true);
+        TABULA_FAULT_POINT("shard.build");
+        span.SetAttribute("rows", rows[s].size());
+        TABULA_ASSIGN_OR_RETURN(
+            parts[s], Tabula::BuildPartition(*table_, PartitionOptions(), enc,
+                                             ref_rows, std::move(rows[s]),
+                                             tracer, span.id()));
+        span.SetAttribute("iceberg_cells", parts[s]->cube_.size());
+        span.SetAttribute("spatial_cells", parts[s]->grid_.present()
+                                               ? parts[s]->grid_.TotalCells()
+                                               : 0);
+        parts[s]->stats_.total_millis = span.End();
+        return Status::OK();
+      }();
+    }));
   }
-  Stopwatch timer;
-  TABULA_FAULT_POINT("shard.build");
-
-  const TabulaOptions& base = options_.base;
-  const LossFunction* loss = base.effective_loss();
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
-                          loss->Bind(*table_, ref));
-
-  // Finest-cuboid states over this shard's rows (kept for refresh and
-  // for the coordinator's exact cross-shard state merge).
-  DatasetView view(table_, shard->rows);
-  const BoundLoss* bound_ptr = bound.get();
-  shard->finest = GroupAccumulate<LossState>(
-      enc, packer_, view,
-      [bound_ptr](LossState* state, RowId row) {
-        bound_ptr->Accumulate(state, row);
-      });
-
-  // Roll the shard's states up the lattice and classify shard-local
-  // iceberg cells — the same algebraic roll-up the dry run performs,
-  // restricted to this shard's slice.
-  std::vector<FlatHashMap<LossState>> maps = RollUpLattice(shard->finest);
-
-  FlatHashMap<CuboidMask> iceberg_cells;
-  size_t present_cells = 0;
-  for (size_t m = 0; m < lattice_.num_cuboids(); ++m) present_cells += maps[m].size();
-  shard->present = FlatHashSet(present_cells);
-  for (size_t m = 0; m < lattice_.num_cuboids(); ++m) {
-    CuboidMask mask = static_cast<CuboidMask>(m);
-    maps[m].ForEach([&](uint64_t key, const LossState& state) {
-      shard->present.Insert(key);
-      if (bound_ptr->Finalize(state) > base.threshold) {
-        iceberg_cells[key] = mask;
+  Status first_error = Status::OK();
+  for (size_t s = 0; s < k; ++s) {
+    try {
+      futures[s].get();
+    } catch (const std::exception& e) {
+      // A thrown injected fault (or any escaped exception) fails the
+      // build like a Status would — atomically, nothing published.
+      if (first_error.ok()) {
+        first_error = Status::Internal(std::string("shard build threw: ") +
+                                       e.what());
       }
-    });
-  }
-
-  // Collect raw rows for shard-iceberg cells: one pass over the
-  // *shard's* rows per affected cuboid (the join path, shard-scoped).
-  std::vector<CuboidMask> affected;
-  iceberg_cells.ForEach(
-      [&](uint64_t, const CuboidMask& mask) { affected.push_back(mask); });
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  FlatHashMap<std::vector<RowId>> cell_rows(iceberg_cells.size());
-  for (CuboidMask mask : affected) {
-    for (RowId r : shard->rows) {
-      uint64_t key = packer_.PackRowMasked(enc, r, mask);
-      const CuboidMask* cm = iceberg_cells.Find(key);
-      if (cm != nullptr && *cm == mask) cell_rows[key].push_back(r);
     }
+    if (first_error.ok() && !statuses[s].ok()) first_error = statuses[s];
   }
-
-  // Local samples in ascending key order (deterministic sample-table
-  // ids). Sharding persists every local sample individually — the
-  // cross-cell representative-selection optimization is global and is
-  // documented as forgone at K > 1.
-  GreedySamplerOptions sampler_opts = base.sampler;
-  sampler_opts.seed = base.seed;
-  GreedySampler sampler(loss, base.threshold, sampler_opts);
-  for (auto& [key, rows] : cell_rows.ExtractSorted()) {
-    DatasetView raw(table_, rows);
-    TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample, sampler.Sample(raw));
-    IcebergCell cell;
-    cell.key = key;
-    cell.cuboid = *iceberg_cells.Find(key);
-    cell.sample_id = shard->samples.Add(std::move(sample));
-    // Retained (like the plain real run retains cell rows) so the merge
-    // can assemble a violating cell's raw rows from shard slices
-    // instead of re-scanning the base table.
-    cell.raw_rows = std::move(rows);
-    shard->cube.Add(std::move(cell));
-  }
-
-  // Shard-local spatial grid over this shard's rows, classified against
-  // the same shared reference sample as the cube — per-shard range
-  // partials then compose exactly like per-shard cell samples do.
-  if (base.spatial.levels > 0) {
-    SpatialGrid::Context ctx;
-    ctx.table = table_;
-    ctx.loss = loss;
-    ctx.threshold = base.threshold;
-    ctx.sampler = sampler_opts;
-    ctx.ref = ref;
-    TABULA_ASSIGN_OR_RETURN(
-        shard->grid, SpatialGrid::Build(ctx, base.spatial, &shard->rows));
-  }
-
-  if (span.recording()) {
-    span.SetAttribute("rows", shard->rows.size());
-    span.SetAttribute("iceberg_cells", shard->cube.size());
-    span.SetAttribute("spatial_cells",
-                      shard->grid.present() ? shard->grid.TotalCells() : 0);
-    shard->build_millis = span.End();
-  } else {
-    shard->build_millis = timer.ElapsedMillis();
-  }
-  return Status::OK();
+  TABULA_RETURN_NOT_OK(first_error);
+  return parts;
 }
 
 Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
-    const std::vector<const Shard*>& shards, const KeyEncoder& enc,
-    const DatasetView& ref, const std::vector<RowId>& ref_rows,
-    Tracer* tracer, uint64_t parent_span) const {
-  (void)tracer;
-  (void)parent_span;
+    const std::vector<const Tabula*>& parts, const KeyEncoder& enc,
+    const DatasetView& ref, const std::vector<RowId>& ref_rows) const {
   TABULA_FAULT_POINT("shard.merge");
   const TabulaOptions& base = options_.base;
   const LossFunction* loss = base.effective_loss();
@@ -385,9 +269,9 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   //    the merged state equals the single-instance accumulation up to
   //    floating-point fold order.
   FlatHashMap<LossState> merged_finest;
-  for (const Shard* shard : shards) {
-    merged_finest.reserve(merged_finest.size() + shard->finest.size());
-    shard->finest.ForEach([&](uint64_t key, const LossState& state) {
+  for (const Tabula* part : parts) {
+    merged_finest.reserve(merged_finest.size() + part->finest_states_.size());
+    part->finest_states_.ForEach([&](uint64_t key, const LossState& state) {
       auto [slot, inserted] = merged_finest.TryEmplace(key);
       if (inserted) {
         *slot = state;
@@ -398,7 +282,8 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   }
 
   // 2. Roll up the merged states and classify the *global* iceberg set.
-  std::vector<FlatHashMap<LossState>> maps = RollUpLattice(merged_finest);
+  std::vector<FlatHashMap<LossState>> maps =
+      Tabula::RollUpLattice(packer_, lattice_, std::move(merged_finest));
 
   // 3. Per merged-iceberg cell: gather the union of shard-local
   //    samples and decide how the θ bound is restored (see DESIGN.md
@@ -422,9 +307,9 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   // (its SampleTable slot reads empty); re-derive it deterministically —
   // build seed over the slice's ascending rows — so the merge sees the
   // exact build-time bytes and classifies like a store-disabled run.
-  GreedySamplerOptions re_opts = base.sampler;
-  re_opts.seed = base.seed;
-  GreedySampler re_sampler(loss, base.threshold, re_opts);
+  GreedySamplerOptions sampler_opts = base.sampler;
+  sampler_opts.seed = base.seed;
+  GreedySampler sampler(loss, base.threshold, sampler_opts);
   for (size_t m = 0; m < lattice_.num_cuboids(); ++m) {
     CuboidMask mask = static_cast<CuboidMask>(m);
     // Global-sample rows grouped by this cuboid's cell key: a conflict
@@ -448,16 +333,17 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
       if (bound->Finalize(state) <= base.threshold) return;  // global covers
       std::vector<RowId> candidate;
       bool conflict = false;
-      for (const Shard* shard : shards) {
-        const IcebergCell* cell = shard->cube.Find(key);
+      for (const Tabula* part : parts) {
+        const IcebergCell* cell = part->cube_.Find(key);
         if (cell != nullptr) {
-          const auto& sample = shard->samples.sample(cell->sample_id);
+          const auto& sample = part->samples_.sample(cell->sample_id);
           if (sample.empty() && store_enabled()) {
             // Demoted slice (samples are never legitimately empty —
             // every iceberg cell has rows): restore the build bytes.
-            std::vector<RowId> slice = cell->raw_rows;
-            if (slice.empty()) slice = CellRowsIn(*shard, enc, key, mask);
-            auto redrawn = re_sampler.Sample(DatasetView(table_, slice));
+            std::vector<RowId> slice;
+            status = part->GatherCellRows(*cell, &slice);
+            if (!status.ok()) return;
+            auto redrawn = sampler.Sample(DatasetView(table_, slice));
             if (!redrawn.ok()) {
               status = redrawn.status();
               return;
@@ -467,7 +353,7 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
           } else {
             candidate.insert(candidate.end(), sample.begin(), sample.end());
           }
-        } else if (shard->present.Contains(key)) {
+        } else if (part->present_cells_.Contains(key)) {
           // This shard holds rows of the cell but its slice was within
           // θ of the global sample — the union sample does not cover
           // the slice, so the cell's shard-local statuses disagree.
@@ -515,43 +401,26 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
 
   // 4. Collect full raw rows for the cells still pending (conflicted
   //    reference-bound cells and union-violating reference-free ones).
-  //    Shard builds retained each local iceberg cell's slice rows, so
-  //    most of a cell assembles by concatenation; only slices held by
-  //    shards *without* a local cube entry (conflict slices, or cubes
-  //    restored from disk, where slice rows are not persisted) fall
-  //    back to a scan — and that scan walks just the owning shard's
-  //    rows, not the whole table.
+  //    A freshly built partition still holds each local iceberg cell's
+  //    raw rows, so most of a cell assembles by concatenation; only
+  //    slices without them (conflict slices, or partitions past their
+  //    first merge) are collected from the partition — one pass over
+  //    its rows per affected cuboid.
   if (!needs_raw.empty()) {
     FlatHashMap<std::vector<RowId>> raw_rows(needs_raw.size());
-    std::vector<FlatHashMap<CuboidMask>> scan_keys(shards.size());
-    needs_raw.ForEach([&](uint64_t key, const PendingCell& cell) {
-      std::vector<RowId>& rows = raw_rows[key];
-      for (size_t s = 0; s < shards.size(); ++s) {
-        const IcebergCell* local = shards[s]->cube.Find(key);
+    for (const Tabula* part : parts) {
+      FlatHashMap<CuboidMask> wanted;
+      needs_raw.ForEach([&](uint64_t key, const PendingCell& cell) {
+        const IcebergCell* local = part->cube_.Find(key);
         if (local != nullptr && !local->raw_rows.empty()) {
+          std::vector<RowId>& rows = raw_rows[key];
           rows.insert(rows.end(), local->raw_rows.begin(),
                       local->raw_rows.end());
-        } else if (shards[s]->present.Contains(key)) {
-          scan_keys[s][key] = cell.cuboid;
+        } else if (part->present_cells_.Contains(key)) {
+          wanted[key] = cell.cuboid;
         }
-      }
-    });
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (scan_keys[s].empty()) continue;
-      std::vector<CuboidMask> affected;
-      scan_keys[s].ForEach([&](uint64_t, const CuboidMask& mask) {
-        affected.push_back(mask);
       });
-      std::sort(affected.begin(), affected.end());
-      affected.erase(std::unique(affected.begin(), affected.end()),
-                     affected.end());
-      for (CuboidMask mask : affected) {
-        for (RowId r : shards[s]->rows) {
-          uint64_t key = packer_.PackRowMasked(enc, r, mask);
-          const CuboidMask* cm = scan_keys[s].Find(key);
-          if (cm != nullptr && *cm == mask) raw_rows[key].push_back(r);
-        }
-      }
+      if (!wanted.empty()) part->CollectCellRows(wanted, &raw_rows);
     }
     // Shard slices are disjoint row sets; ascending order restores the
     // exact vector a single full-table scan would have produced, so
@@ -562,9 +431,6 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
 
     // 5. Verify / re-sample in ascending key order so override sample
     //    ids assign deterministically.
-    GreedySamplerOptions sampler_opts = base.sampler;
-    sampler_opts.seed = base.seed;
-    GreedySampler sampler(loss, base.threshold, sampler_opts);
     for (auto& [key, rows] : raw_rows.ExtractSorted()) {
       PendingCell* cell = needs_raw.Find(key);
       TABULA_CHECK(cell != nullptr);
@@ -589,110 +455,23 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   return out;
 }
 
-std::vector<FlatHashMap<LossState>> ShardedTabula::RollUpLattice(
-    const FlatHashMap<LossState>& finest) const {
-  const size_t n_attrs = lattice_.num_attributes();
-  std::vector<FlatHashMap<LossState>> maps(lattice_.num_cuboids());
-  maps[lattice_.finest()] = finest;  // copy: the roll-up consumes it
-  for (CuboidMask mask : lattice_.TopDownOrder()) {
-    if (mask == lattice_.finest()) continue;
-    // Roll up from the parent that re-adds the lowest missing
-    // attribute — the same single-parent evaluation the dry run uses,
-    // so per-key state folds happen in an order that is a pure
-    // function of the key layout.
-    size_t j = 0;
-    while (j < n_attrs && (mask & (CuboidMask{1} << j))) ++j;
-    CuboidMask parent = mask | (CuboidMask{1} << j);
-    FlatHashMap<LossState>& my_map = maps[mask];
-    my_map.reserve(maps[parent].size());
-    maps[parent].ForEach([&](uint64_t key, const LossState& state) {
-      uint64_t rolled = packer_.WithNull(key, j);
-      auto [slot, inserted] = my_map.TryEmplace(rolled);
-      if (inserted) {
-        *slot = state;
-      } else {
-        slot->Merge(state);
-      }
-    });
-  }
-  return maps;
-}
-
-Status ShardedTabula::EnsureFinestStates() {
-  const LossFunction* loss = options_.base.effective_loss();
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
-                          loss->Bind(*table_, global_sample_));
-  const BoundLoss* bound_ptr = bound.get();
-  for (Shard& shard : shards_) {
-    if (!shard.finest.empty() || shard.rows.empty()) continue;
-    DatasetView view(table_, shard.rows);
-    shard.finest = GroupAccumulate<LossState>(
-        encoder_, packer_, view,
-        [bound_ptr](LossState* state, RowId row) {
-          bound_ptr->Accumulate(state, row);
-        });
-    if (shard.present.size() == 0) {
-      std::vector<FlatHashMap<LossState>> maps = RollUpLattice(shard.finest);
-      size_t cells = 0;
-      for (const auto& map : maps) cells += map.size();
-      shard.present = FlatHashSet(cells);
-      for (auto& map : maps) {
-        map.ForEach(
-            [&](uint64_t key, const LossState&) { shard.present.Insert(key); });
-      }
-    }
-  }
-  return Status::OK();
-}
-
-const ShardedInitStats& ShardedTabula::init_stats() const { return stats_; }
-
-size_t ShardedTabula::merged_iceberg_cells() const {
-  if (single_ != nullptr) return single_->cube_table().size();
-  return merged_.size();
-}
-
-std::vector<uint64_t> ShardedTabula::MergedIcebergKeys() const {
-  std::vector<uint64_t> keys;
-  if (single_ != nullptr) {
-    keys.reserve(single_->cube_table().size());
-    for (const auto& cell : single_->cube_table().cells()) {
-      keys.push_back(cell.key);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-  return merged_.SortedKeys();
-}
-
 const std::vector<RowId>& ShardedTabula::shard_rows(size_t i) const {
-  TABULA_CHECK(single_ == nullptr && i < shards_.size());
-  return shards_[i].rows;
+  TABULA_CHECK(i < parts_.size());
+  return *parts_[i]->partition_rows_;
 }
 
 const CubeTable& ShardedTabula::shard_cube(size_t i) const {
-  TABULA_CHECK(single_ == nullptr && i < shards_.size());
-  return shards_[i].cube;
-}
-
-uint64_t ShardedTabula::generation() const {
-  return single_ != nullptr ? single_->generation() : generation_;
+  TABULA_CHECK(i < parts_.size());
+  return parts_[i]->cube_;
 }
 
 uint64_t ShardedTabula::AddRefreshListener(std::function<void()> listener) {
-  if (single_ != nullptr) {
-    return single_->AddRefreshListener(std::move(listener));
-  }
   uint64_t id = next_listener_id_++;
   refresh_listeners_.emplace_back(id, std::move(listener));
   return id;
 }
 
 void ShardedTabula::RemoveRefreshListener(uint64_t id) {
-  if (single_ != nullptr) {
-    single_->RemoveRefreshListener(id);
-    return;
-  }
   for (auto it = refresh_listeners_.begin(); it != refresh_listeners_.end();
        ++it) {
     if (it->first == id) {
@@ -705,12 +484,6 @@ void ShardedTabula::RemoveRefreshListener(uint64_t id) {
 void ShardedTabula::NotifyRefreshListeners() {
   for (auto& [id, listener] : refresh_listeners_) listener();
 }
-
-const DatasetView& ShardedTabula::global_sample() const {
-  return single_ != nullptr ? single_->global_sample() : global_sample_;
-}
-
-const Table& ShardedTabula::base_table() const { return *table_; }
 
 size_t ShardedTabula::ShardForNewRow(RowId row,
                                      const std::vector<size_t>& sizes) const {

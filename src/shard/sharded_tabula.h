@@ -36,15 +36,15 @@ const char* ShardPartitionName(ShardPartition partition);
 struct ShardedTabulaOptions {
   /// Per-shard build parameters (loss, θ, cubed attributes, sampler,
   /// seed, tracer). Two knobs behave differently under sharding:
-  /// `enable_sample_selection` is ignored at K > 1 (each shard persists
-  /// its local samples individually — cross-cell representative-sample
-  /// sharing is a global optimization the partitioned build forgoes),
-  /// and maintenance state is always kept (the merge pass needs every
-  /// shard's finest-cell loss states).
+  /// `enable_sample_selection` is ignored (each shard persists its local
+  /// samples individually — cross-cell representative-sample sharing is
+  /// a global optimization the partitioned build forgoes), and every
+  /// shard keeps its finest-cell loss states (the merge pass needs
+  /// them).
   TabulaOptions base;
-  /// Number of shards K. K = 1 is a strict pass-through to a plain
-  /// `Tabula` — bit-identical answers, cube, and persistence format.
-  size_t num_shards = 1;
+  /// Number of shards K; must be at least 2. A single-instance
+  /// deployment is a plain `Tabula`.
+  size_t num_shards = 2;
   ShardPartition partition = ShardPartition::kHash;
   /// Serving replicas per shard (R). Each shard's cube is built once
   /// and registered with R replicas that share the immutable cube and
@@ -52,7 +52,7 @@ struct ShardedTabulaOptions {
   /// data. Query() probes replicas in health/EWMA order and degrades a
   /// shard's slice to the global sample only when every replica of
   /// that shard is gone. R = 1 keeps the pre-replication behaviour
-  /// (and persistence format) exactly. Ignored at K = 1.
+  /// (and persistence format) exactly.
   size_t replicas_per_shard = 1;
 };
 
@@ -94,10 +94,11 @@ struct ShardedInitStats {
 /// interface (the paper's middleware scaled out the way its testbed
 /// scaled SparkSQL executors).
 ///
-/// Initialize() partitions the base table's rows into K shards, builds
-/// each shard's cube in parallel (one coarse task per shard on the
-/// global pool; the flat-hash GroupAccumulate engine runs inline inside
-/// the task), then merges: per-cell loss states merge *exactly* (they
+/// Initialize() partitions the base table's rows into K shards and
+/// builds each shard as a `Tabula` partition over its rows — the same
+/// dry run / real run the single instance runs, one coarse task per
+/// shard on the global pool, sharing the coordinator's key encoder and
+/// global sample — then merges: per-cell loss states merge *exactly* (they
 /// are algebraic), so the merged iceberg-cell set equals the
 /// single-instance cube's, and each merged iceberg cell's answer is the
 /// union of its shard-local samples — re-verified against θ at merge
@@ -127,28 +128,27 @@ class ShardedTabula : public QueryEngine {
   /// \brief Streaming-maintenance phases (see QueryEngine). Refresh()
   /// composes them. PlanIngest routes the pending rows to their owning
   /// shards and computes the dirty cell set; ExecuteIngest rebuilds the
-  /// touched shards into staged copies and re-runs the merge + θ
+  /// touched shards into staged partitions and re-runs the merge + θ
   /// re-verification over the mix of staged and untouched shards;
   /// CommitIngest adopts the staged shards and the merged directory.
   /// Plan/Execute mutate only plan-staged state plus maintenance-only
-  /// members Query() never reads (shard finest states / present sets via
-  /// EnsureFinestStates), so they may run under a shared lock while
-  /// queries serve. K = 1 delegates every phase to the plain engine.
+  /// members Query() never reads (a loaded shard's finest states and
+  /// present set), so they may run under a shared lock while queries
+  /// serve.
   Result<std::unique_ptr<IngestPlan>> PlanIngest() override;
   void BeginIngest(IngestPlan* plan) override;
   Status ExecuteIngest(IngestPlan* plan) override;
   Status CommitIngest(std::unique_ptr<IngestPlan> plan,
                       RefreshStats* stats = nullptr) override;
   size_t PendingIngestRows() const override {
-    return single_ != nullptr ? single_->PendingIngestRows()
-                              : table_->num_rows() - refreshed_rows_;
+    return table_->num_rows() - refreshed_rows_;
   }
 
   /// Persists the shard manifest: partition + per-shard row lists with
   /// fingerprints, per-shard cubes and sample tables, and the merged
   /// directory with override samples — one file, written
   /// temp-then-rename so a failure mid-write never leaves a partial
-  /// manifest. K = 1 delegates to Tabula::Save (plain cube format).
+  /// manifest.
   Status Save(const std::string& path) const override;
 
   /// Restores a manifest saved with Save(). `options` must match the
@@ -158,42 +158,42 @@ class ShardedTabula : public QueryEngine {
   /// the default rejects a manifest covering fewer rows than the table
   /// holds; `resume_partial = true` accepts it when the covered prefix
   /// matches (crash recovery after a journal replay), leaving the tail
-  /// pending for the next Refresh()/ingest cycle.
+  /// pending for the next Refresh()/ingest cycle. Like Initialize(),
+  /// requires num_shards >= 2.
   static Result<std::unique_ptr<ShardedTabula>> Load(
       const Table& table, ShardedTabulaOptions options,
       const std::string& path, bool resume_partial = false);
 
-  uint64_t generation() const override;
+  uint64_t generation() const override { return generation_; }
   uint64_t AddRefreshListener(std::function<void()> listener) override;
   void RemoveRefreshListener(uint64_t id) override;
-  const DatasetView& global_sample() const override;
-  const Table& base_table() const override;
+  const DatasetView& global_sample() const override { return global_sample_; }
+  const Table& base_table() const override { return *table_; }
 
   size_t num_shards() const { return options_.num_shards; }
   const ShardedTabulaOptions& options() const { return options_; }
-  const ShardedInitStats& init_stats() const;
+  const ShardedInitStats& init_stats() const { return stats_; }
 
   /// Aggregated tiered-store counters across the K shard stores and the
   /// override store (per-shard budgets sum to base.store.budget_bytes;
-  /// see DESIGN.md §12). At K = 1 this is the plain engine's store.
+  /// see DESIGN.md §12).
   SampleStoreStats StoreStats() const;
   /// Resident sample bytes across every store (the sharded budget
   /// invariant's left-hand side). 0 when the store is disabled.
   uint64_t StoreBytes() const;
 
   /// Number of iceberg cells of the merged cube.
-  size_t merged_iceberg_cells() const;
+  size_t merged_iceberg_cells() const { return merged_.size(); }
   /// Sorted packed keys of every merged iceberg cell (for differential
   /// tests against a single-instance cube).
-  std::vector<uint64_t> MergedIcebergKeys() const;
+  std::vector<uint64_t> MergedIcebergKeys() const {
+    return merged_.SortedKeys();
+  }
 
-  /// Row ids owned by shard `i` (K > 1 only).
+  /// Row ids owned by shard `i`.
   const std::vector<RowId>& shard_rows(size_t i) const;
-  /// Shard `i`'s local cube (K > 1 only; tests and diagnostics).
+  /// Shard `i`'s local cube (tests and diagnostics).
   const CubeTable& shard_cube(size_t i) const;
-
-  /// The underlying plain Tabula at K = 1 (nullptr at K > 1).
-  const Tabula* single_instance() const { return single_.get(); }
 
   /// Per-shard serving metrics: `shard<i>_query_latency` histograms,
   /// `shard_unavailable_total` / `shard_degraded_answers` counters and
@@ -203,7 +203,7 @@ class ShardedTabula : public QueryEngine {
   /// read concurrently with Query().
   MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Serving replicas per shard (R; 1 when unconfigured or K = 1).
+  /// Serving replicas per shard (R; 1 when unconfigured).
   size_t replicas_per_shard() const;
   /// Marks one replica of one shard down (true) or back up (false).
   /// Down replicas are skipped by the scatter-gather router; marking
@@ -220,27 +220,6 @@ class ShardedTabula : public QueryEngine {
   /// Staged state of one in-flight ingest cycle (defined in
   /// sharded_refresh.cc; the layout is an implementation detail).
   struct IngestPlanState;
-
-  /// One shard's slice of the cube.
-  struct Shard {
-    /// Base-table rows owned by this shard (ascending).
-    std::vector<RowId> rows;
-    /// Shard-local iceberg cells; sample ids link into `samples`.
-    CubeTable cube;
-    SampleTable samples;
-    /// Shard-local spatial grid over `rows` (absent unless
-    /// base.spatial.levels > 0). A value member: Shard must stay
-    /// copy-assignable for `shards_.assign` and the staged-ingest copies.
-    SpatialGrid grid;
-    /// Finest-cuboid loss states over `rows` — the mergeable roll-up
-    /// input the coordinator classifies the merged cube from.
-    FlatHashMap<LossState> finest;
-    /// Every cell key (all lattice levels) with at least one row in
-    /// this shard; distinguishes "slice empty" from "slice covered by
-    /// the global sample" during merge-conflict detection.
-    FlatHashSet present;
-    double build_millis = 0.0;
-  };
 
   /// One entry of the merged cube directory.
   struct MergedCell {
@@ -269,10 +248,8 @@ class ShardedTabula : public QueryEngine {
   };
 
   /// Serving-path state of one replica. Replicas share the shard's
-  /// immutable cube/samples; only liveness and the latency estimate are
-  /// per-replica. Lives in a deque (not inside Shard) because Shard
-  /// must stay copy-assignable for `shards_.assign` and atomics are
-  /// not.
+  /// immutable partition; only liveness and the latency estimate are
+  /// per-replica. Lives in a deque so the atomics never relocate.
   struct Replica {
     std::atomic<bool> down{false};
     /// EWMA probe latency in nanoseconds (0 = no observation yet);
@@ -283,8 +260,8 @@ class ShardedTabula : public QueryEngine {
 
   Status InitializeSharded(const Table& table);
 
-  /// Sizes `replicas_` to K * R (called after shards exist, from both
-  /// the build and the Load path).
+  /// Sizes `replicas_` to K * R (called after the partitions exist, from
+  /// both the build and the Load path).
   void InitReplicas();
 
   Replica& replica_state(size_t shard, size_t replica) const {
@@ -306,13 +283,13 @@ class ShardedTabula : public QueryEngine {
 
   /// Serves shard `shard`'s slice of cell `key` from its first healthy
   /// replica, appending sample rows to `gathered` (replicas share the
-  /// cube, so the appended rows are replica-invariant). Fails only
+  /// partition, so the appended rows are replica-invariant). Fails only
   /// when every replica is down or faulted. With the tiered store
-  /// enabled, a cold slice lazily promotes under store_mu_; a promote
-  /// failure sets `result->store_degraded` instead of failing (the
-  /// caller degrades the whole answer to the global sample — the
-  /// evicted bytes are never served).
-  Status QueryShardReplicas(size_t shard, uint64_t key,
+  /// enabled, a cold slice lazily promotes through the partition's
+  /// store; a promote failure sets `result->store_degraded` instead of
+  /// failing (the caller degrades the whole answer to the global sample
+  /// — the evicted bytes are never served).
+  Status QueryShardReplicas(size_t shard, uint64_t key, uint64_t query_span,
                             std::vector<RowId>* gathered,
                             TabulaQueryResult* result) const;
 
@@ -322,95 +299,55 @@ class ShardedTabula : public QueryEngine {
   Status QueryRange(const QueryRequest& request, bool has_pending,
                     TabulaQueryResult* result) const;
 
-  /// Loss machinery for per-shard grid calls on the serving path
-  /// (ctx.ref = the shared global sample).
-  SpatialGrid::Context SpatialContext() const;
+  /// Partition options for one shard: selection off, the shard's slice
+  /// of the store budget, and no hot upgrades (the union bound was
+  /// verified against build-time samples).
+  TabulaOptions PartitionOptions() const;
 
-  /// Builds one shard's cube over `shard->rows` (runs inside a pool
-  /// task; everything it calls parallelizes inline). `enc` is passed
-  /// explicitly because an in-flight ingest plan rebuilds shards with
-  /// its staged encoder (the member encoder cannot code appended rows
-  /// and must stay untouched until commit, queries read it); `ref` is
-  /// the global reference sample to classify against, passed for the
-  /// same reason (an ingest plan stages a redrawn sample).
-  Status BuildShard(const KeyEncoder& enc, const DatasetView& ref,
-                    Tracer* tracer, uint64_t parent_span,
-                    Shard* shard) const;
+  /// Builds the partitions for `rows` (one per entry, in parallel: one
+  /// pool task each, under a `shard.build` span and fault seam). `enc`
+  /// and `ref_rows` are explicit because an in-flight ingest plan builds
+  /// with its staged encoder and redrawn global sample (the members stay
+  /// untouched until commit; queries read them).
+  Result<std::vector<std::unique_ptr<Tabula>>> BuildPartitions(
+      std::vector<std::vector<RowId>> rows, const KeyEncoder& enc,
+      const std::vector<RowId>& ref_rows, Tracer* tracer,
+      uint64_t parent_span) const;
 
-  /// Merges the given shards' states into a fresh directory, running
-  /// the θ re-verification pass (see DESIGN.md "Sharding"). `enc` and
-  /// `ref`/`ref_rows` as in BuildShard.
+  /// Merges the given partitions' states into a fresh directory,
+  /// running the θ re-verification pass (see DESIGN.md "Sharding").
   Result<MergeOutput> MergeShardCubes(
-      const std::vector<const Shard*>& shards, const KeyEncoder& enc,
-      const DatasetView& ref, const std::vector<RowId>& ref_rows,
-      Tracer* tracer, uint64_t parent_span) const;
-
-  /// Rolls `finest` up the whole lattice, returning one state map per
-  /// cuboid (index = CuboidMask). Shared by the shard build, the merge
-  /// pass, and the post-Load state rebuild.
-  std::vector<FlatHashMap<LossState>> RollUpLattice(
-      const FlatHashMap<LossState>& finest) const;
-
-  /// Rebuilds any shard's finest states / present-key sets that are
-  /// missing (after Load, which does not persist them).
-  Status EnsureFinestStates();
+      const std::vector<const Tabula*>& parts, const KeyEncoder& enc,
+      const DatasetView& ref, const std::vector<RowId>& ref_rows) const;
 
   /// Shard owning an appended row id under the configured partition.
   size_t ShardForNewRow(RowId row, const std::vector<size_t>& sizes) const;
 
   // --- Tiered sample store (sharded_store.cc) -----------------------
-  bool store_enabled() const {
-    return single_ == nullptr && options_.base.store.budget_bytes > 0;
-  }
+  bool store_enabled() const { return options_.base.store.budget_bytes > 0; }
   /// Per-participant byte budget: the global budget splits evenly over
   /// K shard stores + the coordinator's override store (the remainder
   /// goes to the override store so the K+1 budgets sum exactly to the
   /// global one).
   uint64_t ShardStoreBudget() const;
   uint64_t OverrideStoreBudget() const;
-  /// Configures the K+1 stores and registers every sample at kWarm
-  /// (preserving any tiers Load() adopted), then enforces each budget.
-  Status AssignInitialTiers();
-  /// Rows of `shard`'s slice of cell (`key`, `cuboid`), ascending — the
-  /// build-time gather order, so re-sampling reproduces the build bytes.
-  /// `enc` is explicit for the same reason as in BuildShard.
-  std::vector<RowId> CellRowsIn(const Shard& shard, const KeyEncoder& enc,
-                                uint64_t key, CuboidMask cuboid) const;
-  std::vector<RowId> GatherShardCellRows(size_t shard, uint64_t key,
-                                         CuboidMask cuboid) const;
-  /// Restores shard `shard`'s cold sample for cell `key` by
-  /// deterministic re-sample (K > 1 never spills) and appends the
-  /// restored rows to `out`. Caller holds store_mu_ exclusively; fires
-  /// the `store.promote` seam.
-  Status PromoteShardCellLocked(size_t shard, uint64_t key,
-                                std::vector<RowId>* out) const;
+  /// Validates the store knobs for K > 1 (drop mode only, a non-zero
+  /// slice per participant).
+  Status ValidateStoreOptions() const;
+  /// Configures the override store and registers every override sample
+  /// at kWarm (preserving tiers Load() adopted), then enforces its
+  /// budget. Each partition's store is its own (Tabula's tiers).
+  Status AssignOverrideTiers();
   /// Restores a cold override sample (cross-shard gather, ascending
   /// sort, re-sample — the merge-time draw reproduced) and appends the
   /// restored rows to `out`. Caller holds store_mu_ exclusively.
   Status PromoteOverrideLocked(uint64_t key, const MergedCell& cell,
                                std::vector<RowId>* out) const;
-  /// Demotes CLOCK victims of one store until it fits its budget minus
-  /// `incoming` headroom; `samples` is the table the victims' bytes
-  /// live in.
-  void EnforceShardBudgetLocked(SampleStore* store, SampleTable* samples,
-                                uint64_t incoming = 0,
-                                uint32_t protect = kInvalidSampleId) const;
-  /// Commit-phase tier transitions: rebuilds the `touched` shards'
-  /// stores and the override store all-kWarm after the commit swap
-  /// (untouched shards keep their tiers and hit counters), then
-  /// enforces every budget. Never fails (K > 1 never spills). Caller
-  /// holds store_mu_ exclusively.
-  void RebuildStoresAfterCommitLocked(
-      const std::vector<size_t>& touched) const;
 
   void NotifyRefreshListeners();
 
   const Table* table_ = nullptr;
   ShardedTabulaOptions options_;
-
-  /// K = 1 pass-through instance; when set, every entry point
-  /// delegates and the members below stay empty.
-  std::unique_ptr<Tabula> single_;
 
   KeyEncoder encoder_;
   KeyPacker packer_;
@@ -419,26 +356,22 @@ class ShardedTabula : public QueryEngine {
   Lattice lattice_{1};
   std::vector<RowId> global_sample_rows_;
   DatasetView global_sample_;
-  /// Mutable: with the store enabled, const Query() promotes cold
-  /// shard-local / override samples in place under store_mu_'s
-  /// exclusive section (exactly the single-instance contract). With the
-  /// store disabled these stay immutable between mutating entry points.
-  mutable std::vector<Shard> shards_;
+  /// One partition per shard, each a Tabula over the shard's ascending
+  /// row list with its own tiered store (the shard's budget slice).
+  std::vector<std::unique_ptr<Tabula>> parts_;
   /// K * R replica states, indexed shard * R + replica. A deque so the
   /// atomics never relocate; mutable because probes update EWMAs from
   /// const Query().
   mutable std::deque<Replica> replicas_;
   FlatHashMap<MergedCell> merged_;
+  /// Mutable: with the store enabled, const Query() promotes cold
+  /// override samples in place under store_mu_'s exclusive section.
   mutable SampleTable override_samples_;
-  /// Per-shard tier stores, parallel to shards_. Outside Shard (like
-  /// replicas_) because Shard must stay copy-assignable and the stores
-  /// carry atomics. Plus the coordinator's store for override samples.
-  mutable std::deque<SampleStore> shard_stores_;
+  /// The coordinator's store for override samples, guarded by
+  /// store_mu_ (each partition guards its own store). Heap-allocated
+  /// lock: the engine must stay movable. See Tabula::store_mu_ for the
+  /// shared/exclusive protocol.
   mutable SampleStore override_store_;
-  /// One lock across all K+1 stores — shard fan-outs touch several
-  /// stores per answer, and a single lock keeps the budget invariant
-  /// checkable at any instant. Heap-allocated: the engine must stay
-  /// movable. See Tabula::store_mu_ for the shared/exclusive protocol.
   mutable std::unique_ptr<std::shared_mutex> store_mu_ =
       std::make_unique<std::shared_mutex>();
   ShardedInitStats stats_;

@@ -10,6 +10,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include <unistd.h>
+
 #include "common/rng.h"
 #include "core/tabula.h"
 #include "data/synthetic_gen.h"
@@ -39,8 +41,8 @@ struct SoakContext {
   std::vector<std::string> attrs;
 
   std::unique_ptr<Tracer> tracer;
-  std::unique_ptr<Tabula> tabula;          ///< shards == 0
-  std::unique_ptr<ShardedTabula> sharded;  ///< shards >= 1
+  std::unique_ptr<Tabula> tabula;          ///< shards <= 1
+  std::unique_ptr<ShardedTabula> sharded;  ///< shards >= 2
   /// Whichever of the two is live; every per-op helper goes through
   /// this, so the checks are engine-agnostic.
   QueryEngine* engine = nullptr;
@@ -875,7 +877,7 @@ void OpFaultToggle(SoakContext& ctx, size_t step) {
   const size_t spatial_n = ctx.opt->spatial ? std::size(kSpatialMenu) : 0;
   const size_t store_n =
       ctx.opt->store_budget ? std::size(kStoreMenu) : 0;
-  const size_t spill_n = ctx.opt->store_budget && ctx.opt->shards == 0
+  const size_t spill_n = ctx.opt->store_budget && ctx.opt->shards <= 1
                              ? std::size(kStoreSpillMenu)
                              : 0;
   const size_t menu_n =
@@ -1068,9 +1070,10 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
     std::error_code tmp_ec;
     std::filesystem::path tmp = std::filesystem::temp_directory_path(tmp_ec);
     if (tmp_ec) tmp = ".";
-    ctx.cube_path =
-        (tmp / ("tabula_soak_" + std::to_string(options.seed) + ".cube"))
-            .string();
+    // Per process too: concurrent test processes may soak the same seed.
+    ctx.cube_path = (tmp / ("tabula_soak_" + std::to_string(options.seed) +
+                            "_" + std::to_string(getpid()) + ".cube"))
+                        .string();
   }
   std::error_code ec;
   std::filesystem::remove(ctx.cube_path, ec);
@@ -1087,7 +1090,7 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
     TABULA_ASSIGN_OR_RETURN(TabulaOptions probe_opt, make_topt());
     probe_opt.store.budget_bytes = uint64_t{1} << 40;
     uint64_t full_bytes = 0;
-    if (options.shards >= 1) {
+    if (options.shards > 1) {
       ShardedTabulaOptions probe_shopt;
       probe_shopt.base = std::move(probe_opt);
       probe_shopt.num_shards = options.shards;
@@ -1113,15 +1116,14 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
     // Demoted samples spill to a side file next to the scratch cube
     // (single-instance engines only; the sharded store demotes in drop
     // mode and re-samples on promote).
-    if (options.shards == 0) {
+    if (options.shards <= 1) {
       topt.store.spill_path = ctx.cube_path + ".spill";
     }
   }
 
-  // Engine selection. No extra rng draws on the sharded path — a
-  // shards = 1 run must replay the shards = 0 op sequence exactly (the
-  // pass-through makes the traces byte-identical).
-  if (options.shards >= 1) {
+  // Engine selection: a sharded engine needs K >= 2, so shards <= 1 runs
+  // the plain engine. No extra rng draws on the sharded path.
+  if (options.shards > 1) {
     ShardedTabulaOptions shopt;
     shopt.base = std::move(topt);
     shopt.num_shards = options.shards;
@@ -1171,8 +1173,6 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
         ctx.ingestor, Ingestor::Make(ctx.engine, ctx.table.get(), iopts));
   }
 
-  // At K <= 1 the iceberg count comes out of the same single-instance
-  // build either way, keeping this line identical across shards=0/1.
   const size_t init_ice = ctx.sharded != nullptr
                               ? ctx.sharded->merged_iceberg_cells()
                               : ctx.tabula->init_stats().iceberg_cells;

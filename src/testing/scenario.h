@@ -28,19 +28,18 @@ struct SoakOptions {
   /// from a same-schema donor table of `append_pool` rows.
   size_t base_rows = 3000;
   size_t append_pool = 2000;
-  /// Where Save/Load ops place the cube file ("" → a per-seed file in
-  /// the system temp directory, removed at the end of the run).
+  /// Where Save/Load ops place the cube file ("" → a per-seed,
+  /// per-process file in the system temp directory, removed at the end
+  /// of the run).
   std::string scratch_path;
   /// Check loss(raw, sample) <= θ on every Nth served answer (1 = all).
   /// Raising it trades invariant coverage for speed on big runs; which
   /// answers get checked stays deterministic.
   size_t check_every = 1;
-  /// Engine under test: 0 (default) = the plain single-instance Tabula,
-  /// K >= 1 = a ShardedTabula with K shards behind the same QueryServer.
-  /// K = 1 is the strict pass-through, so its scenario trace is
-  /// byte-identical to shards = 0 with the same options. K > 1 runs add
-  /// the shard.build / shard.merge error seams and the shard.query
-  /// delay seam to the fault-toggle menu.
+  /// Engine under test: 0 or 1 (default 0) = the plain single-instance
+  /// Tabula, K >= 2 = a ShardedTabula with K shards behind the same
+  /// QueryServer. Sharded runs add the shard.build / shard.merge error
+  /// seams and the shard.query delay seam to the fault-toggle menu.
   size_t shards = 0;
   /// Streaming-ingestion mode: appends flow through a synchronous
   /// Ingestor (journaled into a WAL next to the scratch cube file)

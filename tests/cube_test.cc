@@ -169,8 +169,8 @@ TEST(SampleTableTest, AddAndMeasure) {
 TEST(DryRunTest, FindsSkewedIcebergCells) {
   CubeFixture fx;
   MeanLoss loss("v");
-  auto dry = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                       fx.GlobalSample(), 0.10);
+  auto dry = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                       fx.lattice, loss, fx.GlobalSample(), 0.10);
   ASSERT_TRUE(dry.ok());
   // The skewed group ("b") deviates ~10x from the global mean: iceberg
   // cells must exist, and cells dominated by "a" must not all be iceberg.
@@ -190,8 +190,8 @@ TEST(DryRunTest, FindsSkewedIcebergCells) {
 TEST(DryRunTest, CellCountsMatchDataCube) {
   CubeFixture fx;
   MeanLoss loss("v");
-  auto dry = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                       fx.GlobalSample(), 0.10);
+  auto dry = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                       fx.lattice, loss, fx.GlobalSample(), 0.10);
   ASSERT_TRUE(dry.ok());
   // g1 has 2 values, g2 has 2: cuboids have 4, 2, 2, 1 cells.
   EXPECT_EQ(dry->cuboids[0b11].total_cells, 4u);
@@ -206,8 +206,8 @@ TEST(DryRunTest, RolledUpLossMatchesDirectComputation) {
   MeanLoss loss("v");
   // θ chosen so iceberg-ness flips per cell; verify against direct loss.
   double theta = 0.10;
-  auto dry = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                       fx.GlobalSample(), theta);
+  auto dry = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                       fx.lattice, loss, fx.GlobalSample(), theta);
   ASSERT_TRUE(dry.ok());
 
   // For every cuboid and every cell, recompute loss(cell, global) directly
@@ -235,10 +235,10 @@ TEST(DryRunTest, RolledUpLossMatchesDirectComputation) {
 TEST(DryRunTest, LowerThresholdMoreIcebergCells) {
   CubeFixture fx;
   MeanLoss loss("v");
-  auto strict = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                          fx.GlobalSample(), 0.001);
-  auto loose = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                         fx.GlobalSample(), 0.5);
+  auto strict = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                          fx.lattice, loss, fx.GlobalSample(), 0.001);
+  auto loose = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                         fx.lattice, loss, fx.GlobalSample(), 0.5);
   ASSERT_TRUE(strict.ok());
   ASSERT_TRUE(loose.ok());
   EXPECT_GE(strict->total_iceberg_cells, loose->total_iceberg_cells);
@@ -250,12 +250,12 @@ TEST(RealRunTest, MaterializesSamplesForAllIcebergCells) {
   CubeFixture fx;
   MeanLoss loss("v");
   double theta = 0.10;
-  auto dry = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                       fx.GlobalSample(), theta);
+  auto dry = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                       fx.lattice, loss, fx.GlobalSample(), theta);
   ASSERT_TRUE(dry.ok());
   GreedySamplerOptions opts;
-  auto real = RunRealRun(*fx.table, fx.encoder, fx.packer, fx.lattice, *dry,
-                         loss, theta, opts);
+  auto real = RunRealRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                         fx.lattice, *dry, loss, theta, opts);
   ASSERT_TRUE(real.ok());
   EXPECT_EQ(real->cube.size(), dry->total_iceberg_cells);
   for (const auto& cell : real->cube.cells()) {
@@ -271,12 +271,12 @@ TEST(RealRunTest, MaterializesSamplesForAllIcebergCells) {
 TEST(RealRunTest, SkipsNonIcebergCuboids) {
   CubeFixture fx;
   MeanLoss loss("v");
-  auto dry = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                       fx.GlobalSample(), 0.10);
+  auto dry = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                       fx.lattice, loss, fx.GlobalSample(), 0.10);
   ASSERT_TRUE(dry.ok());
   GreedySamplerOptions opts;
-  auto real = RunRealRun(*fx.table, fx.encoder, fx.packer, fx.lattice, *dry,
-                         loss, 0.10, opts);
+  auto real = RunRealRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                         fx.lattice, *dry, loss, 0.10, opts);
   ASSERT_TRUE(real.ok());
   size_t iceberg_cuboids = 0;
   for (const auto& info : dry->cuboids) {
@@ -288,12 +288,12 @@ TEST(RealRunTest, SkipsNonIcebergCuboids) {
 TEST(RealRunTest, CellRawRowsMatchPartition) {
   CubeFixture fx(1000);
   MeanLoss loss("v");
-  auto dry = RunDryRun(*fx.table, fx.encoder, fx.packer, fx.lattice, loss,
-                       fx.GlobalSample(), 0.05);
+  auto dry = RunDryRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                       fx.lattice, loss, fx.GlobalSample(), 0.05);
   ASSERT_TRUE(dry.ok());
   GreedySamplerOptions opts;
-  auto real = RunRealRun(*fx.table, fx.encoder, fx.packer, fx.lattice, *dry,
-                         loss, 0.05, opts);
+  auto real = RunRealRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
+                         fx.lattice, *dry, loss, 0.05, opts);
   ASSERT_TRUE(real.ok());
   for (const auto& cell : real->cube.cells()) {
     // Recompute the cell's member rows directly.

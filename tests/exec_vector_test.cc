@@ -32,6 +32,7 @@
 #include "sampling/random_sampler.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
+#include "testing/legacy_dry_run.h"
 
 namespace tabula {
 namespace {
@@ -449,13 +450,14 @@ CubeBytes BuildCube(const Table& table, RealRunEngine engine,
       RandomSample(all, std::min<size_t>(table.num_rows(), 200), &rng);
   DatasetView global(&table, global_rows);
 
-  auto dry = RunDryRun(table, *enc, *packer, lattice, loss, global, 0.05);
+  auto dry = RunDryRun(DatasetView(&table), *enc, *packer, lattice, loss,
+                       global, 0.05);
   EXPECT_TRUE(dry.ok()) << dry.status().ToString();
   for (const auto& info : dry->cuboids) out.iceberg_keys.push_back(info.iceberg_keys);
 
   GreedySamplerOptions opts;
-  auto real = RunRealRun(table, *enc, *packer, lattice, *dry, loss, 0.05,
-                         opts, RealRunPathPolicy::kAuto, engine);
+  auto real = RunRealRun(DatasetView(&table), *enc, *packer, lattice, *dry,
+                         loss, 0.05, opts, RealRunPathPolicy::kAuto, engine);
   EXPECT_TRUE(real.ok()) << real.status().ToString();
   for (const auto& cell : real->cube.cells()) {
     out.cell_keys.push_back(cell.key);
@@ -509,7 +511,8 @@ TEST(CubeDeterminismTest, NewDryRunMatchesLegacyIcebergSets) {
   DatasetView global(table.get(), global_rows);
 
   auto fresh =
-      RunDryRun(*table, *enc, *packer, lattice, loss, global, 0.05);
+      RunDryRun(DatasetView(table.get()), *enc, *packer, lattice, loss, global,
+                0.05);
   auto legacy =
       RunDryRunLegacy(*table, *enc, *packer, lattice, loss, global, 0.05);
   ASSERT_TRUE(fresh.ok() && legacy.ok());

@@ -9,8 +9,8 @@
 ///    agrees);
 ///  - every served answer meets loss(truth, sample) <= θ with truth
 ///    from a direct predicate scan of the final table;
-///  - the guarantee is shard-invariant: K = 1 and K = 4 converge to the
-///    same iceberg set, and K = 1 is bit-identical to the plain engine.
+///  - the guarantee is shard-invariant: K = 1 (the plain engine) and
+///    K = 4 converge to the same iceberg set.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "core/tabula.h"
 #include "data/synthetic_gen.h"
 #include "data/workload.h"
+#include "engine_at_k.h"
 #include "ingest/ingestor.h"
 #include "loss/loss_registry.h"
 #include "shard/sharded_tabula.h"
@@ -187,7 +188,7 @@ void RunIngestEquivalence(uint64_t seed) {
     sopts.partition =
         (seed + k) % 2 == 0 ? ShardPartition::kHash : ShardPartition::kRange;
     auto live = TablePrefix(*f.table, base);
-    auto sharded = ShardedTabula::Initialize(*live, sopts);
+    auto sharded = EngineAtK::Initialize(*live, sopts);
     ASSERT_TRUE(sharded.ok()) << "seed=" << seed << " k=" << k << ": "
                               << sharded.status().ToString();
     auto ingestor =
@@ -197,7 +198,7 @@ void RunIngestEquivalence(uint64_t seed) {
     EXPECT_EQ(ingestor.value()->PendingRows(), 0u);
 
     // Shard-invariant convergence: same iceberg set as the oracle.
-    EXPECT_EQ(sharded.value()->MergedIcebergKeys(), oracle_keys)
+    EXPECT_EQ(sharded.value().IcebergKeys(), oracle_keys)
         << "seed=" << seed << " k=" << k;
 
     for (const WorkloadQuery& q : qs.value()) {
@@ -207,8 +208,8 @@ void RunIngestEquivalence(uint64_t seed) {
       EXPECT_FALSE(result.stale);
       EXPECT_TRUE(result.unavailable_shards.empty());
       if (k == 1) {
-        // Strict pass-through: bit-identical to the incremental plain
-        // engine (same rows, same seed, same maintenance path).
+        // K = 1 is the plain engine: bit-identical to the incremental
+        // plain engine (same rows, same seed, same maintenance path).
         auto want = plain.value()->Query(QueryRequest(q.where));
         ASSERT_TRUE(want.ok());
         EXPECT_EQ(result.sample.ToRowIds(),

@@ -16,6 +16,7 @@
 
 #include "core/tabula.h"
 #include "data/taxi_gen.h"
+#include "engine_at_k.h"
 #include "ingest/ingest_journal.h"
 #include "ingest/ingestor.h"
 #include "loss/mean_loss.h"
@@ -203,7 +204,8 @@ TEST_F(IngestFaultTest, ResampleFaultKeepsPreviousGenerationOnBothEngines) {
     std::vector<RowId> base(base_rows_);
     for (RowId r = 0; r < base_rows_; ++r) base[r] = r;
     auto live = full_->TakeRows(base);
-    auto engine = ShardedTabula::Initialize(*live, sopts);
+    // K = 1 runs the plain engine (a sharded engine needs K >= 2).
+    auto engine = EngineAtK::Initialize(*live, sopts);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     const uint64_t gen0 = engine.value()->generation();
     auto ingestor =

@@ -231,8 +231,8 @@ TEST(CubeDifferential, DryRunIcebergMarkingMatchesOracle) {
     MeanLoss loss("value");
     const double theta = 0.04;
 
-    auto dry = RunDryRun(*f.table, f.encoder, f.packer, f.lattice, loss,
-                         f.global_sample, theta);
+    auto dry = RunDryRun(DatasetView(f.table.get()), f.encoder, f.packer,
+                         f.lattice, loss, f.global_sample, theta);
     ASSERT_TRUE(dry.ok()) << dry.status().ToString();
     auto oracle = BuildOracleCube(*f.table, f.encoder, f.packer, loss,
                                   f.global_sample, theta);
@@ -270,8 +270,8 @@ TEST(CubeDifferential, RealRunSamplesMatchOracleOnBothCostPaths) {
     MeanLoss loss("value");
     const double theta = 0.04;
 
-    auto dry = RunDryRun(*f.table, f.encoder, f.packer, f.lattice, loss,
-                         f.global_sample, theta);
+    auto dry = RunDryRun(DatasetView(f.table.get()), f.encoder, f.packer,
+                         f.lattice, loss, f.global_sample, theta);
     ASSERT_TRUE(dry.ok());
     auto oracle = BuildOracleCube(*f.table, f.encoder, f.packer, loss,
                                   f.global_sample, theta);
@@ -286,8 +286,8 @@ TEST(CubeDifferential, RealRunSamplesMatchOracleOnBothCostPaths) {
     const RealRunPathPolicy policies[2] = {RealRunPathPolicy::kAlwaysJoin,
                                            RealRunPathPolicy::kAlwaysGroupBy};
     for (int p = 0; p < 2; ++p) {
-      auto real = RunRealRun(*f.table, f.encoder, f.packer, f.lattice,
-                             dry.value(), loss, theta, sampler_opts,
+      auto real = RunRealRun(DatasetView(f.table.get()), f.encoder, f.packer,
+                             f.lattice, dry.value(), loss, theta, sampler_opts,
                              policies[p]);
       ASSERT_TRUE(real.ok()) << real.status().ToString();
       runs[p] = std::move(real).value();

@@ -137,7 +137,8 @@ TEST_P(DryRunExactnessProperty, RollUpMatchesDirectLoss) {
   std::vector<RowId> global_rows = RandomSample(all, 500, &rng);
   DatasetView global(table.get(), global_rows);
 
-  auto dry = RunDryRun(*table, *enc, *packer, lattice, *loss, global, theta);
+  auto dry = RunDryRun(DatasetView(table.get()), *enc, *packer, lattice, *loss,
+                       global, theta);
   ASSERT_TRUE(dry.ok());
 
   for (CuboidMask mask = 0; mask < 4; ++mask) {

@@ -55,12 +55,12 @@ struct SelFixture {
     DatasetView all(table.get());
     global_rows = RandomSample(all, 400, &rng);
 
-    auto dry = RunDryRun(*table, encoder, packer, lattice, loss,
-                         DatasetView(table.get(), global_rows), theta);
+    auto dry = RunDryRun(DatasetView(table.get()), encoder, packer, lattice,
+                         loss, DatasetView(table.get(), global_rows), theta);
     EXPECT_TRUE(dry.ok());
     GreedySamplerOptions opts;
-    auto real = RunRealRun(*table, encoder, packer, lattice, *dry, loss,
-                           theta, opts);
+    auto real = RunRealRun(DatasetView(table.get()), encoder, packer, lattice,
+                           *dry, loss, theta, opts);
     EXPECT_TRUE(real.ok());
     cube = std::move(real->cube);
     EXPECT_GT(cube.size(), 2u);

@@ -3,8 +3,8 @@
 /// the bytes of the answer — only who pays the latency and how many
 /// failures the shard survives.
 ///
-///  - liveness control: SetReplicaDown/replica_down/HealthyReplicaCount,
-///    rejected on single-instance deployments;
+///  - liveness control: SetReplicaDown/replica_down/HealthyReplicaCount;
+///    a sharded engine needs K >= 2 (Initialize and Load refuse fewer);
 ///  - failover: a failing replica probe (seams `replica.query` and
 ///    `replica.query.s<k>.r<j>`) falls through to the next replica and
 ///    the answer stays non-degraded; only when *every* replica of a
@@ -97,15 +97,27 @@ TEST(ShardReplicaTest, InitStartsAllReplicasHealthy) {
   }
 }
 
-TEST(ShardReplicaTest, SingleInstanceRejectsReplicaControl) {
-  auto f = MakeFixture(1, 2);
+TEST(ShardReplicaTest, InitializeAndLoadRejectFewerThanTwoShards) {
+  // A sharded engine needs K >= 2; a single-instance deployment is a
+  // plain Tabula, so K = 0 and K = 1 are refused on both entry points.
+  auto f = MakeFixture(2, 2);
   auto engine = ShardedTabula::Initialize(*f.table, f.options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  // K = 1 is the bit-identical pass-through; replica groups are a
-  // sharded-deployment concept and the option is ignored.
-  EXPECT_EQ(engine.value()->replicas_per_shard(), 1u);
-  Status down = engine.value()->SetReplicaDown(0, 0, true);
-  EXPECT_EQ(down.code(), StatusCode::kInvalidArgument);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tabula_k_lt_2.tbls")
+          .string();
+  ASSERT_TRUE(engine.value()->Save(path).ok());
+  for (size_t k : {size_t{0}, size_t{1}}) {
+    ShardedTabulaOptions options = f.options;
+    options.num_shards = k;
+    auto built = ShardedTabula::Initialize(*f.table, options);
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument)
+        << "k=" << k;
+    auto loaded = ShardedTabula::Load(*f.table, options, path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "k=" << k;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(ShardReplicaTest, SetReplicaDownValidatesRange) {

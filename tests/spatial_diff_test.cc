@@ -8,8 +8,7 @@
 ///    gathered by a direct inclusive scan of the x/y columns (zero grid
 ///    code involved);
 ///  - an `empty_cell` range answer is really empty, and vice versa;
-///  - K = 1 sharded is bit-identical to the plain engine (strict
-///    pass-through);
+///  - K = 1 runs the plain engine (a sharded engine needs K >= 2);
 ///  - hybrid bbox+equality answers are byte-identical across every K
 ///    (matching rows are globally sorted before the exact/greedy
 ///    decision, so the shard count cannot leak into the bytes);
@@ -32,6 +31,7 @@
 #include "core/tabula.h"
 #include "data/synthetic_gen.h"
 #include "data/workload.h"
+#include "engine_at_k.h"
 #include "loss/loss_registry.h"
 #include "shard/sharded_tabula.h"
 #include "spatial/spatial_grid.h"
@@ -210,7 +210,7 @@ void RunPureRangeDiff(const std::string& loss_name, uint64_t seed,
 
   std::vector<Box> boxes = MakeBoxes(seed, levels, 6);
   for (size_t k : kShardCounts) {
-    auto sharded = ShardedTabula::Initialize(
+    auto sharded = EngineAtK::Initialize(
         *f.table, MakeShardOptions(f, seed, k, loss, theta, levels));
     ASSERT_TRUE(sharded.ok()) << "seed=" << seed << " k=" << k << ": "
                               << sharded.status().ToString();
@@ -229,7 +229,7 @@ void RunPureRangeDiff(const std::string& loss_name, uint64_t seed,
                          seed);
       EXPECT_EQ(result.empty_cell, want.value().result.empty_cell);
       if (k == 1) {
-        // Strict pass-through: bit-identical to the plain engine.
+        // K = 1 is the plain engine: bit-identical to it.
         EXPECT_EQ(result.sample.ToRowIds(),
                   want.value().result.sample.ToRowIds())
             << "seed=" << seed;
@@ -280,7 +280,7 @@ TEST(SpatialDiff, HybridRangePlusEqualityIsKInvariantByteForByte) {
     std::vector<Box> boxes = MakeBoxes(seed, levels, 3);
 
     for (size_t k : kShardCounts) {
-      auto sharded = ShardedTabula::Initialize(
+      auto sharded = EngineAtK::Initialize(
           *f.table, MakeShardOptions(f, seed, k, loss, theta, levels));
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       for (const WorkloadQuery& q : qs.value()) {

@@ -4,7 +4,7 @@
 /// The contract under test:
 ///  - budget unset / unbounded is a strict pass-through: cube build and
 ///    every served answer are byte-identical to the store-disabled
-///    engine at K ∈ {1, 4};
+///    engine at K ∈ {1, 4} (K = 1 runs the plain Tabula);
 ///  - under a real budget, resident sample bytes never exceed it after
 ///    ANY step (build, query, refresh, ingest, load);
 ///  - every served answer is within θ of ground truth (direct predicate
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -32,7 +33,9 @@
 #include "core/tabula.h"
 #include "data/synthetic_gen.h"
 #include "data/workload.h"
+#include "engine_at_k.h"
 #include "loss/loss_registry.h"
+#include "obs/trace.h"
 #include "shard/sharded_tabula.h"
 #include "storage/predicate.h"
 #include "testing/oracle.h"
@@ -157,7 +160,7 @@ void RunBudgetDiff(uint64_t seed, size_t rows, bool selection) {
   // Private re-draw oracle for the selection-ON membership check.
   std::vector<std::vector<RowId>> redraw_rows;
   if (selection) {
-    auto noshare = ShardedTabula::Initialize(
+    auto noshare = EngineAtK::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, 0, false));
     ASSERT_TRUE(noshare.ok()) << noshare.status().ToString();
     for (const WorkloadQuery& q : qs.value()) {
@@ -168,21 +171,21 @@ void RunBudgetDiff(uint64_t seed, size_t rows, bool selection) {
   }
 
   for (size_t k : kShardCounts) {
-    auto disabled = ShardedTabula::Initialize(
+    auto disabled = EngineAtK::Initialize(
         *f.table, MakeOptions(f, seed, k, loss, theta, 0, selection));
     ASSERT_TRUE(disabled.ok()) << disabled.status().ToString();
-    auto unbounded = ShardedTabula::Initialize(
+    auto unbounded = EngineAtK::Initialize(
         *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded,
                               selection));
     ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
 
     // The store must not perturb classification.
-    EXPECT_EQ(unbounded.value()->MergedIcebergKeys(),
-              disabled.value()->MergedIcebergKeys())
+    EXPECT_EQ(unbounded.value().IcebergKeys(),
+              disabled.value().IcebergKeys())
         << "seed=" << seed << " k=" << k;
     // Nothing demoted under the unbounded budget.
-    EXPECT_EQ(unbounded.value()->StoreStats().cold_samples, 0u);
-    EXPECT_EQ(unbounded.value()->StoreStats().demotes, 0u);
+    EXPECT_EQ(unbounded.value().StoreStats().cold_samples, 0u);
+    EXPECT_EQ(unbounded.value().StoreStats().demotes, 0u);
 
     // Unbounded answers are byte-identical to the disabled engine's —
     // two passes, so hit accounting provably never perturbs a sample.
@@ -206,24 +209,24 @@ void RunBudgetDiff(uint64_t seed, size_t rows, bool selection) {
       }
     }
 
-    const uint64_t full = unbounded.value()->StoreBytes();
+    const uint64_t full = unbounded.value().StoreBytes();
     ASSERT_GT(full, 0u) << "seed=" << seed << " k=" << k;
 
     for (uint64_t divisor : {2u, 10u}) {
       const uint64_t budget =
           std::max<uint64_t>(full / divisor, static_cast<uint64_t>(k) + 2);
-      auto budgeted = ShardedTabula::Initialize(
+      auto budgeted = EngineAtK::Initialize(
           *f.table,
           MakeOptions(f, seed, k, loss, theta, budget, selection));
       ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
-      ShardedTabula& engine = *budgeted.value();
+      EngineAtK& engine = budgeted.value();
 
       // Build step already honors the budget.
       EXPECT_LE(engine.StoreBytes(), budget)
           << "seed=" << seed << " k=" << k << " divisor=" << divisor;
       // Classification is budget-independent (only residency changes).
-      EXPECT_EQ(engine.MergedIcebergKeys(),
-                disabled.value()->MergedIcebergKeys());
+      EXPECT_EQ(engine.IcebergKeys(),
+                disabled.value().IcebergKeys());
 
       // Two passes: pass 1 promotes cold cells (and demotes victims);
       // pass 2 re-promotes cells evicted by pass 1 — so a cell crossing
@@ -231,7 +234,7 @@ void RunBudgetDiff(uint64_t seed, size_t rows, bool selection) {
       for (int pass = 0; pass < 2; ++pass) {
         size_t qi = 0;
         for (const WorkloadQuery& q : qs.value()) {
-          auto got = engine.Query(QueryRequest(q.where));
+          auto got = engine->Query(QueryRequest(q.where));
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           const TabulaQueryResult& result = got.value().result;
           // The budget invariant holds after EVERY query (promotes
@@ -298,15 +301,15 @@ TEST(StoreDiff, SpillModePromotesByteIdenticalSamples) {
     const double theta = MakeTheta(seed);
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
-    auto baseline = ShardedTabula::Initialize(
+    auto baseline = EngineAtK::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, 0, false));
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     const uint64_t full =
-        ShardedTabula::Initialize(
+        EngineAtK::Initialize(
             *f.table, MakeOptions(f, seed, 1, loss, theta, kUnbounded,
                                   false))
             .value()
-            ->StoreBytes();
+            .StoreBytes();
 
     TabulaOptions spill_opts = MakeOptions(f, seed, 1, loss, theta,
                                            std::max<uint64_t>(full / 4, 2),
@@ -356,11 +359,11 @@ TEST(StoreDiff, HotTierServesTighterThetaUnderBudget) {
     const double theta = MakeTheta(seed);
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
-    auto probe = ShardedTabula::Initialize(
+    auto probe = EngineAtK::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, kUnbounded, false));
     ASSERT_TRUE(probe.ok());
     const uint64_t budget =
-        std::max<uint64_t>(probe.value()->StoreBytes() / 2, 2);
+        std::max<uint64_t>(probe.value().StoreBytes() / 2, 2);
 
     TabulaOptions opts =
         MakeOptions(f, seed, 1, loss, theta, budget, false).base;
@@ -408,7 +411,7 @@ TEST(StoreDiff, SpillPathRejectedAtKGreaterThanOne) {
   ShardedTabulaOptions o =
       MakeOptions(f, 2, 4, MakeLoss(), 0.07, 4096, true);
   o.base.store.spill_path = TempPath("store_diff_rejected_spill.bin");
-  auto engine = ShardedTabula::Initialize(*f.table, o);
+  auto engine = EngineAtK::Initialize(*f.table, o);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
@@ -417,7 +420,7 @@ TEST(StoreDiff, SpillPathRejectedAtKGreaterThanOne) {
 /// configuration error, not a silent disable.
 TEST(StoreDiff, DegenerateShardBudgetRejected) {
   DiffFixture f = MakeFixture(2, 200);
-  auto engine = ShardedTabula::Initialize(
+  auto engine = EngineAtK::Initialize(
       *f.table, MakeOptions(f, 2, 4, MakeLoss(), 0.07, 3, true));
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
@@ -433,11 +436,11 @@ TEST(StoreDiff, BudgetedAnswersWithinThetaOfOracleCube) {
     const double theta = MakeTheta(seed);
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
-    auto unbounded = ShardedTabula::Initialize(
+    auto unbounded = EngineAtK::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, kUnbounded, true));
     ASSERT_TRUE(unbounded.ok());
     const uint64_t budget =
-        std::max<uint64_t>(unbounded.value()->StoreBytes() / 3, 2);
+        std::max<uint64_t>(unbounded.value().StoreBytes() / 3, 2);
 
     TabulaOptions opts =
         MakeOptions(f, seed, 1, loss, theta, budget, true).base;
@@ -511,14 +514,14 @@ TEST(StoreDiff, RefreshAndIngestKeepBudgetInvariant) {
     std::unique_ptr<Table> donor = SyntheticGenerator(donor_gen).Generate();
 
     for (size_t k : kShardCounts) {
-      auto probe = ShardedTabula::Initialize(
+      auto probe = EngineAtK::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded, true));
       ASSERT_TRUE(probe.ok());
       const uint64_t budget = std::max<uint64_t>(
-          probe.value()->StoreBytes() / 2, static_cast<uint64_t>(k) + 2);
-      probe = Result<std::unique_ptr<ShardedTabula>>(nullptr);
+          probe.value().StoreBytes() / 2, static_cast<uint64_t>(k) + 2);
+      probe = Result<EngineAtK>(EngineAtK());
 
-      auto engine = ShardedTabula::Initialize(
+      auto engine = EngineAtK::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, budget, true));
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
@@ -537,18 +540,18 @@ TEST(StoreDiff, RefreshAndIngestKeepBudgetInvariant) {
       for (size_t i = 0; i < 3 && i < qs.value().size(); ++i) {
         auto got = engine.value()->Query(QueryRequest(qs.value()[i].where));
         ASSERT_TRUE(got.ok());
-        EXPECT_LE(engine.value()->StoreBytes(), budget);
+        EXPECT_LE(engine.value().StoreBytes(), budget);
       }
       Status st = engine.value()->Refresh();
       ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_LE(engine.value()->StoreBytes(), budget)
+      EXPECT_LE(engine.value().StoreBytes(), budget)
           << "seed=" << seed << " k=" << k << " (post-refresh)";
 
       for (const WorkloadQuery& q : qs.value()) {
         auto got = engine.value()->Query(QueryRequest(q.where));
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_FALSE(got.value().result.store_degraded);
-        EXPECT_LE(engine.value()->StoreBytes(), budget)
+        EXPECT_LE(engine.value().StoreBytes(), budget)
             << "seed=" << seed << " k=" << k;
         CheckThetaBound(f, *loss, theta, q, got.value().result, k, seed);
       }
@@ -564,12 +567,12 @@ TEST(StoreDiff, RefreshAndIngestKeepBudgetInvariant) {
       ASSERT_TRUE(engine.value()->ExecuteIngest(plan.value().get()).ok());
       ASSERT_TRUE(
           engine.value()->CommitIngest(std::move(plan).value()).ok());
-      EXPECT_LE(engine.value()->StoreBytes(), budget)
+      EXPECT_LE(engine.value().StoreBytes(), budget)
           << "seed=" << seed << " k=" << k << " (post-ingest)";
       for (const WorkloadQuery& q : qs.value()) {
         auto got = engine.value()->Query(QueryRequest(q.where));
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_LE(engine.value()->StoreBytes(), budget);
+        EXPECT_LE(engine.value().StoreBytes(), budget);
         CheckThetaBound(f, *loss, theta, q, got.value().result, k, seed);
       }
     }
@@ -588,17 +591,17 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
     for (size_t k : kShardCounts) {
-      auto unbounded = ShardedTabula::Initialize(
+      auto unbounded = EngineAtK::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded,
                                 false));
       ASSERT_TRUE(unbounded.ok());
       const uint64_t budget = std::max<uint64_t>(
-          unbounded.value()->StoreBytes() / 3, static_cast<uint64_t>(k) + 2);
+          unbounded.value().StoreBytes() / 3, static_cast<uint64_t>(k) + 2);
 
-      auto engine = ShardedTabula::Initialize(
+      auto engine = EngineAtK::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, budget, false));
       ASSERT_TRUE(engine.ok());
-      ASSERT_GT(engine.value()->StoreStats().cold_samples, 0u)
+      ASSERT_GT(engine.value().StoreStats().cold_samples, 0u)
           << "seed=" << seed << " k=" << k;
 
       const std::string path = TempPath(
@@ -606,14 +609,14 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
           std::to_string(k) + ".bin");
       ASSERT_TRUE(engine.value()->Save(path).ok());
 
-      auto loaded = ShardedTabula::Load(
+      auto loaded = EngineAtK::Load(
           *f.table, MakeOptions(f, seed, k, loss, theta, budget, false),
           path);
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_LE(loaded.value()->StoreBytes(), budget);
+      EXPECT_LE(loaded.value().StoreBytes(), budget);
       // Tier words round-tripped: the cold set survived the reload.
-      EXPECT_EQ(loaded.value()->StoreStats().cold_samples,
-                engine.value()->StoreStats().cold_samples)
+      EXPECT_EQ(loaded.value().StoreStats().cold_samples,
+                engine.value().StoreStats().cold_samples)
           << "seed=" << seed << " k=" << k;
 
       WorkloadOptions wopt;
@@ -627,7 +630,7 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
         auto got = loaded.value()->Query(QueryRequest(q.where));
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_FALSE(got.value().result.store_degraded);
-        EXPECT_LE(loaded.value()->StoreBytes(), budget);
+        EXPECT_LE(loaded.value().StoreBytes(), budget);
         EXPECT_EQ(got.value().result.sample.ToRowIds(),
                   want.value().result.sample.ToRowIds())
             << "seed=" << seed << " k=" << k << " query=" << q.ToString();
@@ -635,6 +638,99 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
       std::remove(path.c_str());
     }
   }
+}
+
+/// A loaded manifest re-derives nothing up front: its partitions have no
+/// finest states or present-cell sets until the first ingest cycle. Cold
+/// shard slices and cold override samples must still promote to their
+/// exact build bytes straight after the load.
+TEST(StoreDiff, LoadedManifestPromotesColdSamplesBeforeAnyIngest) {
+  for (uint64_t seed : {3u, 6u, 11u}) {
+    DiffFixture f = MakeFixture(seed, 400);
+    const double theta = MakeTheta(seed);
+    std::shared_ptr<const LossFunction> loss = MakeLoss();
+    auto unbounded = ShardedTabula::Initialize(
+        *f.table, MakeOptions(f, seed, 4, loss, theta, kUnbounded, false));
+    ASSERT_TRUE(unbounded.ok());
+    const uint64_t budget =
+        std::max<uint64_t>(unbounded.value()->StoreBytes() / 8, 6);
+    auto engine = ShardedTabula::Initialize(
+        *f.table, MakeOptions(f, seed, 4, loss, theta, budget, false));
+    ASSERT_TRUE(engine.ok());
+    const std::string path =
+        TempPath("store_diff_loaded_" + std::to_string(seed) + ".bin");
+    ASSERT_TRUE(engine.value()->Save(path).ok());
+    auto loaded = ShardedTabula::Load(
+        *f.table, MakeOptions(f, seed, 4, loss, theta, budget, false), path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_GT(loaded.value()->StoreStats().cold_samples, 0u);
+
+    WorkloadOptions wopt;
+    wopt.num_queries = 120;
+    wopt.seed = seed * 101 + 9;
+    auto qs = GenerateWorkload(*f.table, f.attrs, wopt);
+    ASSERT_TRUE(qs.ok());
+    for (const WorkloadQuery& q : qs.value()) {
+      auto want = unbounded.value()->Query(QueryRequest(q.where));
+      auto got = loaded.value()->Query(QueryRequest(q.where));
+      ASSERT_TRUE(want.ok() && got.ok());
+      ASSERT_FALSE(got.value().result.store_degraded)
+          << "seed=" << seed << " query=" << q.ToString();
+      EXPECT_EQ(got.value().result.sample.ToRowIds(),
+                want.value().result.sample.ToRowIds())
+          << "seed=" << seed << " query=" << q.ToString();
+    }
+    EXPECT_GT(loaded.value()->StoreStats().promotes, 0u);
+    std::remove(path.c_str());
+  }
+}
+
+/// A cold shard slice promotes through its partition's store path, so a
+/// traced K = 4 engine records each promote as a `store.promote` span
+/// parented under the `tabula.query` span that missed.
+TEST(StoreDiff, ShardedColdPromoteRecordsStoreSpanUnderQuery) {
+  const uint64_t seed = 6;
+  DiffFixture f = MakeFixture(seed, 360);
+  const double theta = MakeTheta(seed);
+  std::shared_ptr<const LossFunction> loss = MakeLoss();
+  auto unbounded = EngineAtK::Initialize(
+      *f.table, MakeOptions(f, seed, 4, loss, theta, kUnbounded, false));
+  ASSERT_TRUE(unbounded.ok());
+  const uint64_t budget =
+      std::max<uint64_t>(unbounded.value().StoreBytes() / 4, 6);
+
+  Tracer tracer(TracerOptions{TraceMode::kAll, /*capacity=*/4096});
+  ShardedTabulaOptions options =
+      MakeOptions(f, seed, 4, loss, theta, budget, false);
+  options.base.tracer = &tracer;
+  auto engine = ShardedTabula::Initialize(*f.table, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_GT(engine.value()->StoreStats().cold_samples, 0u);
+
+  WorkloadOptions wopt;
+  wopt.num_queries = 20;
+  wopt.seed = seed * 101 + 7;
+  auto qs = GenerateWorkload(*f.table, f.attrs, wopt);
+  ASSERT_TRUE(qs.ok());
+  for (const WorkloadQuery& q : qs.value()) {
+    auto got = engine.value()->Query(QueryRequest(q.where));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_FALSE(got.value().result.store_degraded);
+  }
+  ASSERT_GT(engine.value()->StoreStats().promotes, 0u);
+
+  const std::vector<SpanRecord> spans = tracer.Snapshot();
+  size_t promote_spans = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name != "store.promote") continue;
+    ++promote_spans;
+    auto parent = std::find_if(
+        spans.begin(), spans.end(),
+        [&](const SpanRecord& s) { return s.span_id == span.parent_id; });
+    ASSERT_NE(parent, spans.end());
+    EXPECT_EQ(parent->name, "tabula.query");
+  }
+  EXPECT_GT(promote_spans, 0u);
 }
 
 /// Compatibility both ways across the format boundary: a pre-store
@@ -648,37 +744,37 @@ TEST(StoreDiff, FormatCompatibilityAcrossStoreBoundary) {
 
   for (size_t k : kShardCounts) {
     // Pre-store file (v3): written with the store disabled.
-    auto disabled = ShardedTabula::Initialize(
+    auto disabled = EngineAtK::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, 0, true));
     ASSERT_TRUE(disabled.ok());
     const std::string v3_path =
         TempPath("store_diff_v3_" + std::to_string(k) + ".bin");
     ASSERT_TRUE(disabled.value()->Save(v3_path).ok());
 
-    auto upgraded = ShardedTabula::Load(
+    auto upgraded = EngineAtK::Load(
         *f.table, MakeOptions(f, 4, k, loss, theta, kUnbounded, true),
         v3_path);
     ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
-    const SampleStoreStats stats = upgraded.value()->StoreStats();
+    const SampleStoreStats stats = upgraded.value().StoreStats();
     EXPECT_EQ(stats.cold_samples, 0u) << "k=" << k;
     EXPECT_GT(stats.warm_samples, 0u) << "k=" << k;
     std::remove(v3_path.c_str());
 
     // Store file with cold tiers (v4): refuses a store-disabled load.
-    auto unbounded = ShardedTabula::Initialize(
+    auto unbounded = EngineAtK::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, kUnbounded, true));
     ASSERT_TRUE(unbounded.ok());
     const uint64_t budget = std::max<uint64_t>(
-        unbounded.value()->StoreBytes() / 4, static_cast<uint64_t>(k) + 2);
-    auto tight = ShardedTabula::Initialize(
+        unbounded.value().StoreBytes() / 4, static_cast<uint64_t>(k) + 2);
+    auto tight = EngineAtK::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, budget, true));
     ASSERT_TRUE(tight.ok());
-    ASSERT_GT(tight.value()->StoreStats().cold_samples, 0u) << "k=" << k;
+    ASSERT_GT(tight.value().StoreStats().cold_samples, 0u) << "k=" << k;
     const std::string v4_path =
         TempPath("store_diff_v4_" + std::to_string(k) + ".bin");
     ASSERT_TRUE(tight.value()->Save(v4_path).ok());
 
-    auto refused = ShardedTabula::Load(
+    auto refused = EngineAtK::Load(
         *f.table, MakeOptions(f, 4, k, loss, theta, 0, true), v4_path);
     EXPECT_FALSE(refused.ok()) << "k=" << k;
     EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/tabula.h"
 #include "data/taxi_gen.h"
 #include "loss/mean_loss.h"
 #include "shard/sharded_tabula.h"
@@ -17,8 +18,10 @@ namespace tools {
 /// The deterministic synthetic deployment tabula_server serves and
 /// tabula_client --compare-local rebuilds: same (rows, seed, shards,
 /// replicas) on both sides means the same table, the same cube, and —
-/// because ShardedTabula answers are deterministic — byte-identical
-/// answers whether asked over the wire or in process.
+/// because engine answers are deterministic — byte-identical answers
+/// whether asked over the wire or in process. `shards` >= 2 serves a
+/// ShardedTabula; `shards` <= 1 serves a plain Tabula, which has no
+/// replicas to control.
 struct DemoDeployment {
   size_t rows = 20000;
   uint64_t seed = 61;
@@ -32,7 +35,9 @@ struct DemoDeployment {
 
   std::unique_ptr<Table> table;
   std::unique_ptr<MeanLoss> loss;
-  std::unique_ptr<ShardedTabula> engine;
+  std::unique_ptr<QueryEngine> engine;
+  /// The engine as a ShardedTabula (nullptr when shards <= 1).
+  ShardedTabula* sharded = nullptr;
 
   Status Build() {
     TaxiGeneratorOptions gen;
@@ -40,15 +45,42 @@ struct DemoDeployment {
     gen.seed = seed;
     table = TaxiGenerator(gen).Generate();
     loss = std::make_unique<MeanLoss>("fare_amount");
+    TabulaOptions base;
+    base.cubed_attributes = {"payment_type", "rate_code"};
+    base.loss = loss.get();
+    base.threshold = 0.05;
+    base.spatial.levels = spatial_levels;
+    if (shards <= 1) {
+      TABULA_ASSIGN_OR_RETURN(engine, Tabula::Initialize(*table, base));
+      return Status::OK();
+    }
     ShardedTabulaOptions options;
-    options.base.cubed_attributes = {"payment_type", "rate_code"};
-    options.base.loss = loss.get();
-    options.base.threshold = 0.05;
-    options.base.spatial.levels = spatial_levels;
+    options.base = std::move(base);
     options.num_shards = shards;
     options.replicas_per_shard = replicas;
-    TABULA_ASSIGN_OR_RETURN(engine,
+    TABULA_ASSIGN_OR_RETURN(std::unique_ptr<ShardedTabula> built,
                             ShardedTabula::Initialize(*table, options));
+    sharded = built.get();
+    engine = std::move(built);
+    return Status::OK();
+  }
+
+  /// Replica control (the server's kill / revive / healthy verbs).
+  Status SetReplicaDown(size_t shard, size_t replica, bool down) {
+    TABULA_RETURN_NOT_OK(RequireSharded());
+    return sharded->SetReplicaDown(shard, replica, down);
+  }
+  Result<size_t> HealthyReplicaCount(size_t shard) {
+    TABULA_RETURN_NOT_OK(RequireSharded());
+    return sharded->HealthyReplicaCount(shard);
+  }
+
+ private:
+  Status RequireSharded() const {
+    if (sharded == nullptr) {
+      return Status::InvalidArgument(
+          "replica control requires a sharded deployment (num_shards > 1)");
+    }
     return Status::OK();
   }
 };

@@ -95,8 +95,8 @@ int Run(int argc, char** argv) {
             return Status::InvalidArgument("usage: " + verb +
                                            " <shard> <replica>");
           }
-          TABULA_RETURN_NOT_OK(deployment.engine->SetReplicaDown(
-              shard, replica, verb == "kill"));
+          TABULA_RETURN_NOT_OK(
+              deployment.SetReplicaDown(shard, replica, verb == "kill"));
           return std::string("ok");
         }
         if (verb == "healthy") {
@@ -104,8 +104,9 @@ int Run(int argc, char** argv) {
           if (!(in >> shard)) {
             return Status::InvalidArgument("usage: healthy <shard>");
           }
-          return std::to_string(
-              deployment.engine->HealthyReplicaCount(shard));
+          TABULA_ASSIGN_OR_RETURN(size_t healthy,
+                                  deployment.HealthyReplicaCount(shard));
+          return std::to_string(healthy);
         }
         if (verb == "arm-delay") {
           std::string seam;
