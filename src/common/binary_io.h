@@ -115,8 +115,9 @@ class BinaryReader {
 
  private:
   Status ReadRaw(void* data, size_t bytes) {
+    if (bytes == 0) return Status::OK();
     in_->read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (!in_->good() && bytes > 0) {
+    if (!in_->good()) {
       // The stream opened but ran out of bytes mid-record: the file is
       // truncated, which no retry can fix — data loss, not I/O error.
       return Status::DataLoss("unexpected end of file (truncated data)");
@@ -175,6 +176,9 @@ class BufferReader {
 
  private:
   Status ReadRaw(void* data, size_t bytes) {
+    // An empty vector's data() may be null, and memcpy with a null
+    // pointer is undefined even for zero bytes.
+    if (bytes == 0) return Status::OK();
     if (bytes > remaining()) {
       return Status::DataLoss("unexpected end of buffer (truncated record)");
     }

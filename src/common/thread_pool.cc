@@ -10,15 +10,20 @@
 namespace tabula {
 
 namespace {
-/// Set while a pool worker runs a task; nested ParallelFor calls from
-/// worker threads execute inline to avoid self-deadlock (all workers
-/// blocked waiting on tasks that can never be scheduled).
+/// Set while a thread runs units of a parallel loop — a pool worker
+/// running a task, or a caller draining its own RunStealing units. Nested
+/// ParallelFor calls from such a thread execute inline: helpers they
+/// submitted would queue behind the outer loop's drain tasks, so the
+/// nested call would wait for the whole outer loop (or deadlock when
+/// every worker is blocked on tasks that can never be scheduled).
 thread_local bool t_inside_worker = false;
 
-/// RAII flag so the marker resets even if a task unwinds.
+/// RAII flag; restores the previous value so the marker unwinds correctly
+/// even if a task throws or a drain is itself nested.
 struct InsideWorkerScope {
-  InsideWorkerScope() { t_inside_worker = true; }
-  ~InsideWorkerScope() { t_inside_worker = false; }
+  InsideWorkerScope() : saved(t_inside_worker) { t_inside_worker = true; }
+  ~InsideWorkerScope() { t_inside_worker = saved; }
+  bool saved;
 };
 }  // namespace
 
@@ -168,8 +173,12 @@ void ThreadPool::RunStealing(
   futures.reserve(helpers);
   for (size_t i = 0; i < helpers; ++i) futures.push_back(Submit(drain));
   // The calling thread steals too: progress is guaranteed even when every
-  // pool worker is stuck behind unrelated long-running tasks.
-  drain();
+  // pool worker is stuck behind unrelated long-running tasks. Its units
+  // run inline-nested like a worker's.
+  {
+    InsideWorkerScope scope;
+    drain();
+  }
   // drain() never throws, so the futures only signal completion; the
   // gets below are the barrier keeping `fn`, `cursor`, and `drain` alive
   // until the last worker leaves the loop.

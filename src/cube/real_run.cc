@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 
 #include "common/flat_hash.h"
 #include "common/logging.h"
@@ -318,6 +319,11 @@ Result<RealRunResult> RunRealRun(
     result.pack_millis = pack_timer.ElapsedMillis();
   }
 
+  // Collect every iceberg cuboid's cells first, in cuboid order and, within
+  // a cuboid, ascending key order: that is the cube's insertion order, and
+  // every downstream ordering derives from it.
+  std::vector<IcebergCell> cells;
+  cells.reserve(dry_run.total_iceberg_cells);
   for (const CuboidDryRunInfo& info : dry_run.cuboids) {
     if (info.iceberg_keys.empty()) continue;  // skip non-iceberg cuboids
     Stopwatch cuboid_timer;
@@ -368,13 +374,6 @@ Result<RealRunResult> RunRealRun(
                                    info.total_cells);
     }
 
-    // Draw a local sample for each iceberg cell. Cells are laid out in
-    // ascending key order so cube insertion order — and every downstream
-    // ordering derived from it — is deterministic; sampling cost tracks
-    // each cell's raw-row count, which is badly skewed, so cells are
-    // stolen one at a time rather than pre-chunked across workers.
-    std::vector<IcebergCell> cells;
-    cells.reserve(cell_rows.size());
     for (auto& [key, raw] : cell_rows.ExtractSorted()) {
       IcebergCell cell;
       cell.key = key;
@@ -382,39 +381,55 @@ Result<RealRunResult> RunRealRun(
       cell.raw_rows = std::move(raw);
       cells.push_back(std::move(cell));
     }
-    const double collected_ms = cuboid_timer.ElapsedMillis();
-    result.collect_millis += collected_ms;
-    Status first_error = Status::OK();
-    std::mutex error_mu;
-    pool.ParallelForGrains(
-        cells.size(),
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            DatasetView raw(&table, cells[i].raw_rows);
-            auto sample = sampler.Sample(raw);
-            if (!sample.ok()) {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (first_error.ok()) first_error = sample.status();
-              continue;
-            }
-            cells[i].local_sample = std::move(sample).value();
-          }
-        },
-        /*grain_rows=*/1);
-    TABULA_RETURN_NOT_OK(first_error);
-    result.sample_millis += cuboid_timer.ElapsedMillis() - collected_ms;
-
-    for (auto& cell : cells) {
-      result.local_sample_tuples += cell.local_sample.size();
-      result.cube.Add(std::move(cell));
-    }
 
     CuboidRealRunInfo cuboid_info;
     cuboid_info.mask = info.mask;
     cuboid_info.iceberg_cells = info.iceberg_keys.size();
     cuboid_info.used_join_path = join_path;
     cuboid_info.millis = cuboid_timer.ElapsedMillis();
+    result.collect_millis += cuboid_info.millis;
     result.per_cuboid.push_back(cuboid_info);
+  }
+
+  // Then draw every cell's local sample in one work queue. Greedy cost is
+  // badly skewed by cell size, so cells are claimed one at a time, largest
+  // raw_rows first (ties by index): the biggest cells start at once
+  // instead of gating a barrier per cuboid, and small cells fill in the
+  // tail. A sample is a pure function of its cell's rows (the sampler
+  // reseeds per call), so claim order changes no byte of the cube.
+  Stopwatch sample_timer;
+  std::vector<uint32_t> claim_order(cells.size());
+  std::iota(claim_order.begin(), claim_order.end(), 0u);
+  std::sort(claim_order.begin(), claim_order.end(),
+            [&](uint32_t a, uint32_t b) {
+              const size_t na = cells[a].raw_rows.size();
+              const size_t nb = cells[b].raw_rows.size();
+              return na != nb ? na > nb : a < b;
+            });
+  Status first_error = Status::OK();
+  std::mutex error_mu;
+  pool.ParallelForGrains(
+      claim_order.size(),
+      [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          IcebergCell& cell = cells[claim_order[i]];
+          DatasetView raw(&table, cell.raw_rows);
+          auto sample = sampler.Sample(raw);
+          if (!sample.ok()) {
+            std::lock_guard<std::mutex> lock(error_mu);
+            if (first_error.ok()) first_error = sample.status();
+            continue;
+          }
+          cell.local_sample = std::move(sample).value();
+        }
+      },
+      /*grain_rows=*/1);
+  TABULA_RETURN_NOT_OK(first_error);
+  result.sample_millis = sample_timer.ElapsedMillis();
+
+  for (auto& cell : cells) {
+    result.local_sample_tuples += cell.local_sample.size();
+    result.cube.Add(std::move(cell));
   }
 
   (void)lattice;

@@ -29,6 +29,9 @@ struct CuboidRealRunInfo {
   size_t iceberg_cells = 0;
   /// Which side of Inequation 1 won: true = equi-join/prune path.
   bool used_join_path = false;
+  /// Time to collect this cuboid's iceberg-cell rows. Sampling is not
+  /// per cuboid: it is RealRunResult::sample_millis, one pass over all
+  /// cells.
   double millis = 0.0;
 };
 
@@ -40,8 +43,9 @@ struct RealRunResult {
   size_t local_sample_tuples = 0;
   double millis = 0.0;
   /// Per-stage breakdown of `millis`: the one-time finest-key packing
-  /// pass (kVectorized only), iceberg-row collection across all cuboids,
-  /// and the greedy per-cell sampling.
+  /// pass (kVectorized only), iceberg-row collection across all cuboids
+  /// (the sum of per_cuboid[i].millis), and the one greedy sampling pass
+  /// over every iceberg cell.
   double pack_millis = 0.0;
   double collect_millis = 0.0;
   double sample_millis = 0.0;
@@ -52,9 +56,12 @@ struct RealRunResult {
 /// Skips every cuboid without iceberg cells, and for each iceberg cuboid
 /// fetches the raw data of its iceberg cells among `rows` — via a full
 /// GroupBy or via the iceberg-cell semi-join, whichever the cost model
-/// picks over |rows| — then runs the greedy SAMPLING() aggregate
-/// (Algorithm 1) per iceberg cell. Each cell's raw rows come out in
-/// `rows` order, so an ascending view yields ascending cell rows.
+/// picks over |rows|. Then it runs the greedy SAMPLING() aggregate
+/// (Algorithm 1) for every iceberg cell of every cuboid in one work
+/// queue, largest cell first, with no barrier between cuboids. Cells
+/// enter the cube in cuboid order, then ascending key order. Each cell's
+/// raw rows come out in `rows` order, so an ascending view yields
+/// ascending cell rows.
 Result<RealRunResult> RunRealRun(
     const DatasetView& rows, const KeyEncoder& encoder,
     const KeyPacker& packer,

@@ -46,8 +46,10 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
   const bool have_signatures = !raw_sig[0].empty();
 
   // For each representative candidate u, bind the loss to sample(u) once
-  // (amortizing per-sample indexes) and test its closest cells. Each
-  // worker writes only its own found_per_u slots; the adjacency lists are
+  // (amortizing per-sample indexes) and test its closest cells. Edge-test
+  // cost per u is skewed by the candidates' cell sizes, so vertices are
+  // stolen one at a time rather than pre-chunked across workers. Each u
+  // writes only its own found_per_u slot; the adjacency lists are
   // assembled serially afterwards in ascending-u order so InEdges/OutEdges
   // ordering — which rep_selection uses to break representative-link ties
   // — is independent of worker scheduling.
@@ -56,11 +58,14 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
   Status first_error = Status::OK();
   std::mutex error_mu;
 
-  pool.ParallelFor(m, [&](size_t begin, size_t end) {
+  pool.ParallelForGrains(m, [&](size_t, size_t begin, size_t end) {
+    std::vector<double> distance;
     for (size_t u = begin; u < end; ++u) {
       const IcebergCell& rep = cube.cells()[u];
       // Candidate targets: all other vertices, ranked by signature
-      // proximity of sample(u) to raw(v) when signatures exist.
+      // proximity of sample(u) to raw(v) when signatures exist. Each
+      // distance is computed once into a buffer; the comparator only
+      // reads it, so its results (and the selected set) are unchanged.
       std::vector<uint32_t> candidates;
       candidates.reserve(m - 1);
       for (size_t v = 0; v < m; ++v) {
@@ -69,12 +74,15 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
       if (options.max_candidates_per_vertex > 0 &&
           candidates.size() > options.max_candidates_per_vertex) {
         if (have_signatures) {
+          distance.resize(m);
+          for (size_t v = 0; v < m; ++v) {
+            distance[v] = SignatureDistance(sample_sig[u], raw_sig[v]);
+          }
           std::nth_element(
               candidates.begin(),
               candidates.begin() + options.max_candidates_per_vertex,
               candidates.end(), [&](uint32_t a, uint32_t b) {
-                return SignatureDistance(sample_sig[u], raw_sig[a]) <
-                       SignatureDistance(sample_sig[u], raw_sig[b]);
+                return distance[a] < distance[b];
               });
         }
         candidates.resize(options.max_candidates_per_vertex);
@@ -84,7 +92,7 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
       if (!bound.ok()) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (first_error.ok()) first_error = bound.status();
-        return;
+        continue;
       }
 
       std::vector<uint32_t> found;
@@ -103,7 +111,7 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
 
       found_per_u[u] = std::move(found);
     }
-  });
+  }, /*grain_rows=*/1);
   TABULA_RETURN_NOT_OK(first_error);
   for (size_t u = 0; u < m; ++u) {
     for (uint32_t v : found_per_u[u]) {
