@@ -161,25 +161,26 @@ Result<std::unique_ptr<Tabula>> Tabula::BuildPartition(
   // Stage 3: representative sample selection (or persist-all for
   // Tabula* and for partitions).
   Span sel_span = tracer->StartSpan("tabula.init.selection", parent_span);
+  SelectionResult sel;
   if (opts.enable_sample_selection) {
     TABULA_ASSIGN_OR_RETURN(
-        SelectionResult sel,
-        SelectRepresentativeSamples(table, *loss, opts.threshold,
-                                    opts.selection, &tabula->cube_,
-                                    &tabula->samples_));
-    tabula->stats_.representative_samples = sel.representatives;
+        sel, SelectRepresentativeSamples(table, *loss, opts.threshold,
+                                         opts.selection, &tabula->cube_,
+                                         &tabula->samples_));
     tabula->stats_.cells_sharing_samples = sel.cells_sharing;
   } else {
     // A partition keeps its cells' raw rows for the sharded merge.
     TABULA_ASSIGN_OR_RETURN(
-        SelectionResult sel,
-        PersistAllSamples(&tabula->cube_, &tabula->samples_, partition));
-    tabula->stats_.representative_samples = sel.representatives;
+        sel, PersistAllSamples(&tabula->cube_, &tabula->samples_, partition));
   }
+  tabula->stats_.representative_samples = sel.representatives;
   sel_span.SetAttribute("representatives",
                         tabula->stats_.representative_samples);
   sel_span.SetAttribute("cells_sharing",
                         tabula->stats_.cells_sharing_samples);
+  sel_span.SetAttribute("graph_edges", sel.graph_edges);
+  sel_span.SetAttribute("edge_tests", sel.loss_evaluations);
+  sel_span.SetAttribute("rank_fallbacks", sel.rank_fallbacks);
   tabula->stats_.selection_millis = sel_span.End();
 
   // Stage 4 (optional): the hierarchical spatial grid for bbox queries.

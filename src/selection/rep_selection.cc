@@ -13,18 +13,26 @@ Result<SelectionResult> SelectRepresentativeSamples(
     const SelectionOptions& options, CubeTable* cube,
     SampleTable* sample_table) {
   Stopwatch timer;
-  SelectionResult result;
-  const size_t m = cube->size();
-  if (m == 0) {
-    result.millis = timer.ElapsedMillis();
-    return result;
-  }
-
   TABULA_ASSIGN_OR_RETURN(
       SamGraph graph,
       SamGraph::Build(base, *cube, loss, theta, options.graph));
+  TABULA_ASSIGN_OR_RETURN(SelectionResult result,
+                          SelectFromGraph(graph, cube, sample_table));
+  result.millis = timer.ElapsedMillis();
+  return result;
+}
+
+Result<SelectionResult> SelectFromGraph(const SamGraph& graph,
+                                        CubeTable* cube,
+                                        SampleTable* sample_table) {
+  SelectionResult result;
+  const size_t m = cube->size();
+  if (graph.num_vertices() != m) {
+    return Status::InvalidArgument("SamGraph does not match the cube");
+  }
   result.graph_edges = graph.num_edges();
   result.loss_evaluations = graph.loss_evaluations();
+  result.rank_fallbacks = graph.rank_fallbacks();
 
   // --- Algorithm 3 ---
   // Heads sorted by descending out-degree; the LinkedHashMap of the paper
@@ -80,7 +88,6 @@ Result<SelectionResult> SelectRepresentativeSamples(
   }
 
   cube->DropRawData();
-  result.millis = timer.ElapsedMillis();
   return result;
 }
 

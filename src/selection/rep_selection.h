@@ -23,6 +23,8 @@ struct SelectionResult {
   size_t cells_sharing = 0;
   size_t graph_edges = 0;
   size_t loss_evaluations = 0;
+  /// See SamGraph::rank_fallbacks().
+  size_t rank_fallbacks = 0;
   double millis = 0.0;
 };
 
@@ -38,6 +40,13 @@ Result<SelectionResult> SelectRepresentativeSamples(
     const Table& base, const LossFunction& loss, double theta,
     const SelectionOptions& options, CubeTable* cube,
     SampleTable* sample_table);
+
+/// Algorithm 3 over an already built `graph` of `cube`'s cells: the part
+/// of SelectRepresentativeSamples after the join, shared with the
+/// reference join in src/testing/. Leaves `millis` at 0.
+Result<SelectionResult> SelectFromGraph(const SamGraph& graph,
+                                        CubeTable* cube,
+                                        SampleTable* sample_table);
 
 /// \brief The no-selection variant (the paper's Tabula*): persists every
 /// local sample individually. Same linking/normalization contract,

@@ -36,6 +36,13 @@ class SamGraph {
                                 const LossFunction& loss, double theta,
                                 const SamGraphOptions& options);
 
+  /// A graph from per-vertex out-lists (each led by its self-edge);
+  /// in-lists are derived in ascending source order. Build assembles its
+  /// result this way, and so does the reference join in src/testing/.
+  static SamGraph FromOutEdges(std::vector<std::vector<uint32_t>> out,
+                               size_t loss_evaluations,
+                               size_t rank_fallbacks);
+
   size_t num_vertices() const { return out_.size(); }
   /// Cells representable by vertex u's sample (including u itself).
   const std::vector<uint32_t>& OutEdges(uint32_t u) const { return out_[u]; }
@@ -43,13 +50,18 @@ class SamGraph {
   const std::vector<uint32_t>& InEdges(uint32_t v) const { return in_[v]; }
 
   size_t num_edges() const { return num_edges_; }
+  /// Exact edge tests run (self-edges are not tested).
   size_t loss_evaluations() const { return loss_evaluations_; }
+  /// Vertices whose sorted 1-D ranking tied at the cap boundary and were
+  /// re-ranked by the full selection (DESIGN.md §11).
+  size_t rank_fallbacks() const { return rank_fallbacks_; }
 
  private:
   std::vector<std::vector<uint32_t>> out_;
   std::vector<std::vector<uint32_t>> in_;
   size_t num_edges_ = 0;
   size_t loss_evaluations_ = 0;
+  size_t rank_fallbacks_ = 0;
 };
 
 }  // namespace tabula

@@ -429,10 +429,34 @@ TEST_F(QueryServerTest, RefreshMidLoadNeverServesStaleSample) {
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(server.Query(QueryRequest(skewed))->cache_hit);
 
-  // Client threads hammer the server while the base table grows and a
-  // Refresh lands. They skip the skewed cell itself: a client running
-  // it in the instant after Refresh() returns would re-cache a fresh
-  // answer and race the deterministic cache-miss probe below.
+  // Skew the cell hard enough that its old sample violates θ against
+  // the new truth (fares far above the previous mean). The rows go in
+  // before any client starts: Table::AppendRow may reallocate columns
+  // that concurrent queries read, and only Refresh() is fenced against
+  // them by the server's writer lock.
+  const Schema& schema = table_->schema();
+  std::vector<Value> row(schema.num_fields());
+  row[0] = Value("CMT");
+  row[1] = Value("Mon");
+  row[2] = Value("1");
+  row[3] = Value("No Charge");
+  row[4] = Value("Standard");
+  row[5] = Value("N");
+  row[6] = Value("Mon");
+  row[7] = Value("[0,5)");
+  row[8] = Value(1.0);
+  row[9] = Value(500.0);
+  row[10] = Value(0.0);
+  row[11] = Value(0.5);
+  row[12] = Value(0.5);
+  for (size_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(table_->AppendRow(row).ok());
+  }
+
+  // Client threads hammer the server while a Refresh lands over the
+  // grown table. They skip the skewed cell itself: a client running it
+  // in the instant after Refresh() returns would re-cache a fresh answer
+  // and race the deterministic cache-miss probe below.
   const std::string skewed_key = CanonicalPredicateKey(skewed);
   std::vector<const WorkloadQuery*> client_queries;
   for (const auto& q : workload_) {
@@ -455,26 +479,6 @@ TEST_F(QueryServerTest, RefreshMidLoadNeverServesStaleSample) {
     });
   }
 
-  // Skew the cell hard enough that its old sample violates θ against
-  // the new truth (fares far above the previous mean).
-  const Schema& schema = table_->schema();
-  std::vector<Value> row(schema.num_fields());
-  row[0] = Value("CMT");
-  row[1] = Value("Mon");
-  row[2] = Value("1");
-  row[3] = Value("No Charge");
-  row[4] = Value("Standard");
-  row[5] = Value("N");
-  row[6] = Value("Mon");
-  row[7] = Value("[0,5)");
-  row[8] = Value(1.0);
-  row[9] = Value(500.0);
-  row[10] = Value(0.0);
-  row[11] = Value(0.5);
-  row[12] = Value(0.5);
-  for (size_t i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(table_->AppendRow(row).ok());
-  }
   uint64_t generation_before = server.cache().generation();
   Tabula::RefreshStats rstats;
   ASSERT_TRUE(server.Refresh(&rstats).ok());
