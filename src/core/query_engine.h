@@ -113,7 +113,7 @@ class QueryEngine {
   /// Monotone cube-content version (bumped by successful refreshes).
   virtual uint64_t generation() const = 0;
 
-  /// Post-refresh invalidation hooks (see Tabula::AddRefreshListener).
+  /// Post-refresh invalidation hooks (see CubeEngine::AddRefreshListener).
   virtual uint64_t AddRefreshListener(std::function<void()> listener) = 0;
   virtual void RemoveRefreshListener(uint64_t id) = 0;
 

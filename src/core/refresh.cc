@@ -1,5 +1,5 @@
 /// Incremental maintenance of an initialized sampling cube (see
-/// Tabula::Refresh in tabula.h). The paper builds the cube once over a
+/// Tabula::PlanIngest in tabula.h). The paper builds the cube once over a
 /// static table; this extension keeps the deterministic guarantee valid
 /// as rows are appended, at a cost far below re-initialization:
 /// per-finest-cell loss states absorb the new rows, the lattice roll-up
@@ -9,8 +9,8 @@
 /// The work is factored into the four-phase streaming protocol of
 /// QueryEngine (PlanIngest → BeginIngest → ExecuteIngest →
 /// CommitIngest) so the ingestion layer can run the slow phases under a
-/// shared lock while queries keep serving; Refresh() is the batch
-/// composition of the four phases.
+/// shared lock while queries keep serving; CubeEngine::Refresh() is the
+/// batch composition of the four phases.
 
 #include <algorithm>
 #include <memory>
@@ -19,7 +19,6 @@
 
 #include "common/flat_hash.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/tabula.h"
 #include "cube/lattice.h"
 #include "sampling/greedy_sampler.h"
@@ -453,17 +452,6 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   return std::unique_ptr<IngestPlan>(std::move(owned));
 }
 
-void Tabula::BeginIngest(IngestPlan* plan) {
-  auto* p = static_cast<TabulaIngestPlan*>(plan);
-  if (p->no_op) return;
-  // Publish the dirty set for precise staleness tagging. A replanned
-  // cycle (after an execute failure) recomputes a superset over the
-  // same base, so replacing — not merging — is correct. Full rebuilds
-  // publish an empty set: every cell reads as stale while rows pend.
-  pending_dirty_.clear();
-  for (uint64_t key : p->dirty_keys) pending_dirty_.Insert(key);
-}
-
 Status Tabula::ExecuteIngest(IngestPlan* plan) {
   auto* p = static_cast<TabulaIngestPlan*>(plan);
   if (p->no_op) return Status::OK();
@@ -543,16 +531,12 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     // The generation counter and registered listeners survive the
     // wholesale move-assignment — a rebuild is a cube mutation like any
     // other.
-    auto listeners = std::move(refresh_listeners_);
-    uint64_t next_id = next_listener_id_;
-    uint64_t generation = generation_;
+    p->fresh->refresh_listeners_ = std::move(refresh_listeners_);
+    p->fresh->next_listener_id_ = next_listener_id_;
+    p->fresh->generation_ = generation_;
     *this = std::move(*p->fresh);
-    refresh_listeners_ = std::move(listeners);
-    next_listener_id_ = next_id;
-    generation_ = generation + 1;
-    pending_dirty_.clear();
     if (stats != nullptr) *stats = p->stats;
-    NotifyRefreshListeners();
+    PublishCommit();
     return Status::OK();
   }
 
@@ -644,61 +628,8 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
   stats_.cube_table_bytes = cube_.MemoryBytes();
   stats_.sample_table_bytes = samples_.MemoryBytes(tuple_bytes);
   stats_.iceberg_cells = cube_.size();
-  pending_dirty_.clear();
-  ++generation_;
   if (stats != nullptr) *stats = p->stats;
-  NotifyRefreshListeners();
-  return Status::OK();
-}
-
-Status Tabula::Refresh(RefreshStats* stats) {
-  return RunRefresh(this, options_.tracer, stats, nullptr);
-}
-
-Status Tabula::RunRefresh(
-    QueryEngine* engine, Tracer* tracer, RefreshStats* stats,
-    const std::function<void(IngestPlan*, Span*)>& on_plan) {
-  Stopwatch timer;
-  RefreshStats local;
-  RefreshStats* out = stats != nullptr ? stats : &local;
-  *out = RefreshStats{};
-
-  // One span per Refresh(); inert (no cost beyond one branch) without
-  // an enabled tracer. Ended via `finish` on every success path so the
-  // span-derived duration and RefreshStats::millis agree when traced.
-  Span span;
-  if (tracer != nullptr) span = tracer->StartSpan("tabula.refresh");
-  auto finish = [&]() {
-    if (span.recording()) {
-      span.SetAttribute("new_rows", out->new_rows);
-      span.SetAttribute("new_iceberg_cells", out->new_iceberg_cells);
-      span.SetAttribute("dropped_iceberg_cells", out->dropped_iceberg_cells);
-      span.SetAttribute("rechecked_cells", out->rechecked_cells);
-      span.SetAttribute("resampled_cells", out->resampled_cells);
-      span.SetAttribute("full_rebuild", out->full_rebuild);
-      out->millis = span.End();
-    } else {
-      out->millis = timer.ElapsedMillis();
-    }
-  };
-
-  // Batch maintenance is exactly the streaming protocol run
-  // back-to-back under the caller's one exclusive section.
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<IngestPlan> plan,
-                          engine->PlanIngest());
-  if (on_plan) on_plan(plan.get(), &span);
-  if (plan->no_op) {
-    out->new_rows = 0;
-    finish();
-    return Status::OK();
-  }
-  engine->BeginIngest(plan.get());
-  // On failure the staged plan dies here; the published dirty set stays
-  // — answers keep tagging stale (rows still pend) until a later cycle
-  // commits or re-plans.
-  TABULA_RETURN_NOT_OK(engine->ExecuteIngest(plan.get()));
-  TABULA_RETURN_NOT_OK(engine->CommitIngest(std::move(plan), out));
-  finish();
+  PublishCommit();
   return Status::OK();
 }
 

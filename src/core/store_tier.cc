@@ -1,8 +1,8 @@
 /// \file
 /// Tiered-sample-store integration of the single-instance engine
-/// (DESIGN.md §12): initial tier assignment after a build, the lazy
-/// promote-on-miss serve path, budget enforcement by CLOCK demotion,
-/// and the hot-upgrade maintenance sweep. Everything here is inert when
+/// (DESIGN.md §12): initial tier assignment after a build, the restore
+/// a lazy promote-on-miss runs (the serve path and budget enforcement
+/// are CubeEngine's), and the hot-upgrade maintenance sweep. Everything here is inert when
 /// `TabulaOptions::store.budget_bytes == 0` — the engine then behaves
 /// byte-identically to the pre-tiering build.
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/tabula.h"
-#include "testing/fault_injection.h"
 
 namespace tabula {
 
@@ -90,17 +89,6 @@ Status Tabula::AdoptTierRecords(
   return store_.ValidateSpill();
 }
 
-void Tabula::EnforceStoreBudgetLocked(SampleStore* store, SampleTable* samples,
-                                      uint64_t incoming, uint32_t protect) {
-  const uint64_t budget = store->budget();
-  const uint64_t target = budget > incoming ? budget - incoming : 0;
-  const uint64_t current = store->bytes();
-  if (current <= target) return;
-  for (uint32_t id : store->PlanEvictions(current - target, protect)) {
-    store->Demote(id, samples->TakeSample(id));
-  }
-}
-
 Status Tabula::GatherCellRows(const IcebergCell& cell,
                               std::vector<RowId>* rows) const {
   rows->clear();
@@ -130,121 +118,37 @@ Status Tabula::GatherCellRows(const IcebergCell& cell,
   return Status::OK();
 }
 
-Status Tabula::PromoteLocked(IcebergCell* cell,
-                             std::vector<RowId>* transient) const {
-  transient->clear();
-  TABULA_FAULT_POINT("store.promote");
-  const uint32_t old_id = cell->sample_id;
+Status Tabula::RestoreColdLocked(uint64_t key, uint32_t id,
+                                 std::vector<RowId>* sample,
+                                 SampleTier* tier) const {
   std::vector<RowId> rows;
-  TABULA_RETURN_NOT_OK(GatherCellRows(*cell, &rows));
-
-  const bool hot =
-      store_.hits(old_id) >= options_.store.hot_promote_hits;
-  SampleTier tier = hot ? SampleTier::kHot : SampleTier::kWarm;
-
-  std::vector<RowId> sample;
-  bool have_sample = false;
-  if (!hot && store_.has_spill(old_id) && store_.refs(old_id) == 1) {
+  TABULA_RETURN_NOT_OK(GatherCellRows(*cube_.Find(key), &rows));
+  const bool hot = store_.hits(id) >= options_.store.hot_promote_hits;
+  *tier = hot ? SampleTier::kHot : SampleTier::kWarm;
+  if (!hot && store_.has_spill(id) && store_.refs(id) == 1) {
     // Restore the exact demoted bytes, then lazily re-verify: a spill
     // record may predate ingest cycles, so it only serves if it still
     // meets θ against the cell's current rows.
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> restored,
-                            store_.ReadSpilled(old_id));
+                            store_.ReadSpilled(id));
     DatasetView raw(table_, rows);
     DatasetView rep(table_, restored);
     TABULA_ASSIGN_OR_RETURN(double loss, loss_fn()->Loss(raw, rep));
     if (loss <= options_.threshold) {
-      sample = std::move(restored);
-      have_sample = true;
+      *sample = std::move(restored);
+      return Status::OK();
     }
   }
-  if (!have_sample) {
-    // Deterministic re-draw, seeded like the build: promote → demote →
-    // promote reproduces the original sample bytes.
-    const double theta =
-        hot ? options_.threshold * options_.store.hot_theta_factor
-            : options_.threshold;
-    GreedySamplerOptions sampler_opts = options_.sampler;
-    sampler_opts.seed = options_.seed;
-    GreedySampler sampler(loss_fn(), theta, sampler_opts);
-    TABULA_ASSIGN_OR_RETURN(sample, sampler.Sample(DatasetView(table_, rows)));
-  }
-
-  const uint64_t bytes = sample.size() * BytesPerTuple();
-  EnforceStoreBudgetLocked(&store_, &samples_, bytes, old_id);
-  if (store_.bytes() + bytes > store_.budget()) {
-    // The sample alone cannot fit the budget (everything else is
-    // already cold). Serve it θ-bounded but do not retain it.
-    *transient = std::move(sample);
-    return Status::OK();
-  }
-
-  if (store_.refs(old_id) <= 1) {
-    // Sole owner: restore into the same slot — every cube link stays
-    // valid, and sample-id assignment stays byte-stable.
-    samples_.SetSample(old_id, std::move(sample));
-    store_.MarkResident(old_id, bytes, tier);
-  } else {
-    // A shared representative slot went cold for all sharers; each
-    // promotes into a fresh private slot so the others stay cold.
-    uint32_t new_id = samples_.Add(std::move(sample));
-    store_.Track(new_id, bytes, tier, /*refs=*/1);
-    store_.ReleaseRef(old_id);
-    cell->sample_id = new_id;
-  }
+  // Deterministic re-draw, seeded like the build: promote → demote →
+  // promote reproduces the original sample bytes.
+  const double theta =
+      hot ? options_.threshold * options_.store.hot_theta_factor
+          : options_.threshold;
+  GreedySamplerOptions sampler_opts = options_.sampler;
+  sampler_opts.seed = options_.seed;
+  GreedySampler sampler(loss_fn(), theta, sampler_opts);
+  TABULA_ASSIGN_OR_RETURN(*sample, sampler.Sample(DatasetView(table_, rows)));
   return Status::OK();
-}
-
-void Tabula::ServeStoredSample(uint64_t key, uint64_t parent_span,
-                               TabulaQueryResult* result) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(*store_mu_);
-    const IcebergCell* cell = cube_.Find(key);
-    store_.RecordHit(cell->sample_id);
-    if (store_.resident(cell->sample_id)) {
-      result->from_local_sample = true;
-      result->sample = DatasetView(table_, samples_.sample(cell->sample_id));
-      return;
-    }
-  }
-  // Cold tier: lazily promote under the exclusive section.
-  std::unique_lock<std::shared_mutex> lock(*store_mu_);
-  IcebergCell* cell = cube_.FindMutable(key);
-  if (store_.resident(cell->sample_id)) {
-    // Raced with another promoter; serve its work.
-    result->from_local_sample = true;
-    result->sample = DatasetView(table_, samples_.sample(cell->sample_id));
-    return;
-  }
-  Span span;
-  if (options_.tracer != nullptr) {
-    span = options_.tracer->StartSpan("store.promote", parent_span);
-  }
-  std::vector<RowId> transient;
-  Status promoted = PromoteLocked(cell, &transient);
-  span.SetAttribute("ok", promoted.ok());
-  if (promoted.ok()) {
-    store_.CountPromote();
-    result->from_local_sample = true;
-    if (!transient.empty()) {
-      // Too large to retain: the view owns the rows, the slot stays
-      // cold, and the budget invariant holds.
-      span.SetAttribute("retained", false);
-      result->sample = DatasetView(table_, std::move(transient));
-    } else {
-      span.SetAttribute("retained", true);
-      span.SetAttribute("tier",
-                        std::string(SampleTierName(
-                            store_.tier(cell->sample_id))));
-      result->sample = DatasetView(table_, samples_.sample(cell->sample_id));
-    }
-  } else {
-    // Degrade to the global sample — never the stale evicted bytes.
-    store_.CountPromoteFailure();
-    result->from_local_sample = false;
-    result->store_degraded = true;
-    result->sample = DatasetView(table_, global_sample_rows_);
-  }
 }
 
 Status Tabula::MaintainStoreTiers() {

@@ -1,11 +1,7 @@
 #include "core/tabula.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
-#include "core/where_clause.h"
 #include "cube/lattice.h"
 
 namespace tabula {
@@ -149,8 +145,8 @@ Result<std::unique_ptr<Tabula>> Tabula::BuildPartition(
   sampler_opts.seed = opts.seed;
   TABULA_ASSIGN_OR_RETURN(
       RealRunResult real,
-      RunRealRun(view, tabula->encoder_, tabula->packer_, lattice, dry,
-                 *loss, opts.threshold, sampler_opts, opts.path_policy));
+      RunRealRun(view, tabula->encoder_, tabula->packer_, dry, *loss,
+                 opts.threshold, sampler_opts, opts.path_policy));
   tabula->stats_.real_run_cuboids = std::move(real.per_cuboid);
   tabula->cube_ = std::move(real.cube);
   real_span.SetAttribute("iceberg_cells", tabula->cube_.size());
@@ -210,114 +206,21 @@ Result<std::unique_ptr<Tabula>> Tabula::BuildPartition(
   return tabula;
 }
 
-uint64_t Tabula::AddRefreshListener(std::function<void()> listener) {
-  uint64_t id = next_listener_id_++;
-  refresh_listeners_.emplace_back(id, std::move(listener));
-  return id;
-}
-
-void Tabula::RemoveRefreshListener(uint64_t id) {
-  for (auto it = refresh_listeners_.begin(); it != refresh_listeners_.end();
-       ++it) {
-    if (it->first == id) {
-      refresh_listeners_.erase(it);
-      return;
-    }
-  }
-}
-
-void Tabula::NotifyRefreshListeners() {
-  for (auto& [id, listener] : refresh_listeners_) listener();
-}
-
-uint64_t Tabula::BytesPerTuple() const {
-  if (table_ == nullptr || table_->num_rows() == 0) return sizeof(RowId);
-  return std::max<uint64_t>(table_->MemoryBytes() / table_->num_rows(), 1);
-}
-
-Result<QueryResponse> Tabula::Query(const QueryRequest& request) const {
-  // Tracing guard: when no tracer is attached (or it is disabled and
-  // the request did not opt in) `span` is inert — no allocation, no
-  // clock read beyond the Stopwatch the result always carried.
-  Span span;
-  if (options_.tracer != nullptr) {
-    span = options_.tracer->StartSpan("tabula.query", request.parent_span,
-                                      request.trace);
-  }
-  Stopwatch timer;
-  QueryResponse response;
-  response.span_id = span.id();
-  TabulaQueryResult& result = response.result;
-  const std::vector<PredicateTerm>& where = request.where;
-  // Progressive-answer tagging: the generation this answer is computed
-  // at, and whether appended-but-unfolded rows are scheduled to change
-  // it. With a published dirty set the tag is per-cell precise;
-  // before classification (dirty set empty) every answer is
-  // conservatively stale while rows pend.
-  result.generation = generation_;
-  const bool has_pending = table_->num_rows() > refreshed_rows_;
-
-  auto finish = [&]() {
-    if (span.recording()) {
-      span.SetAttribute("terms", where.size());
-      span.SetAttribute("from_local_sample", result.from_local_sample);
-      span.SetAttribute("empty_cell", result.empty_cell);
-      span.SetAttribute("sample_rows", result.sample.size());
-      // The span duration IS the reported latency, so trace and stats
-      // cannot disagree.
-      result.data_system_millis = span.End();
-    } else {
-      result.data_system_millis = timer.ElapsedMillis();
-    }
-  };
-
-  // Bbox (pan/zoom) requests take the spatial path; everything below it
-  // is the pre-spatial equality surface, untouched bit for bit.
-  if (!request.range.empty()) {
-    TABULA_RETURN_NOT_OK(QueryRange(request, has_pending, &result));
-    finish();
-    return response;
-  }
-
-  // Invalid-request returns below leave `span` to end at scope exit;
-  // the recorded span then has no result attributes, which is the
-  // trace-side marker for a rejected query.
-  std::vector<uint32_t> codes;
-  bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(
-      ValidateEqualityTerms(encoder_, where, &codes, &provably_empty));
-  if (provably_empty) {
-    // The filter value never occurs in the data: the cell is provably
-    // empty, so an empty sample is the exact answer (loss 0). Pending
-    // rows may contain the value, so the emptiness claim itself is
-    // stale while an ingest is in flight (coarse: the value has no
-    // cell key to probe the dirty set with).
-    result.empty_cell = true;
-    result.stale = has_pending;
-    result.sample = DatasetView(table_, {});
-    finish();
-    return response;
-  }
-
-  uint64_t key = packer_.PackCodes(codes);
-  result.stale =
-      has_pending && (pending_dirty_.empty() || pending_dirty_.Contains(key));
-  const IcebergCell* cell = cube_.Find(key);
-  if (cell != nullptr) {
-    if (store_enabled()) {
-      // Hit accounting + cold-tier lazy promote (store_tier.cc).
-      ServeStoredSample(key, span.id(), &result);
-    } else {
-      result.from_local_sample = true;
-      result.sample = DatasetView(table_, samples_.sample(cell->sample_id));
-    }
-  } else {
+void Tabula::ServeCell(uint64_t key, uint64_t query_span,
+                       TabulaQueryResult* result) const {
+  IcebergCell* cell = cube_.FindMutable(key);
+  if (cell == nullptr) {
     // Non-iceberg cell: the dry run verified the global sample is within
     // θ of this cell's raw data.
-    result.sample = DatasetView(table_, global_sample_rows_);
+    result->sample = DatasetView(table_, global_sample_rows_);
+  } else if (store_enabled()) {
+    // Hit accounting + cold-tier lazy promote (CubeEngine).
+    ServeStoredSample(&store_, &samples_, key, &cell->sample_id, query_span,
+                      result);
+  } else {
+    result->from_local_sample = true;
+    result->sample = DatasetView(table_, samples_.sample(cell->sample_id));
   }
-  finish();
-  return response;
 }
 
 SpatialGrid::Context Tabula::SpatialContext() const {
@@ -329,76 +232,6 @@ SpatialGrid::Context Tabula::SpatialContext() const {
   ctx.sampler.seed = options_.seed;
   ctx.ref = global_sample_;
   return ctx;
-}
-
-Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,
-                          TabulaQueryResult* result) const {
-  if (!grid_.present()) {
-    return Status::InvalidArgument(
-        "this engine has no spatial grid (enable TabulaOptions.spatial to "
-        "serve bbox queries)");
-  }
-  TABULA_ASSIGN_OR_RETURN(SpatialGrid::ResolvedBBox box,
-                          grid_.Resolve(request.range));
-  TABULA_RETURN_NOT_OK(
-      CheckRangeTermsDisjoint(grid_.options(), request.where));
-  // Spatial cells live outside the cube's dirty-key space, so staleness
-  // tagging is conservative: any pending rows mark the answer stale.
-  result->stale = has_pending;
-  SpatialGrid::Context ctx = SpatialContext();
-
-  if (request.where.empty()) {
-    TABULA_ASSIGN_OR_RETURN(SpatialGrid::RangeAnswer answer,
-                            grid_.RangeQuery(ctx, box));
-    if (answer.raw_count == 0) {
-      result->empty_cell = true;
-      result->sample = DatasetView(table_, {});
-      return Status::OK();
-    }
-    result->from_local_sample = true;
-    result->sample = DatasetView(table_, std::move(answer.sample));
-    return Status::OK();
-  }
-
-  // Hybrid bbox + equality: validate the equality terms exactly like the
-  // pure path (same errors), then filter the bbox rows and answer
-  // exactly when small, else SAMPLING(matching, θ) at query time — both
-  // within θ, both deterministic.
-  std::vector<uint32_t> codes;
-  bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(ValidateEqualityTerms(encoder_, request.where, &codes,
-                                            &provably_empty));
-  std::vector<RowId> matching;
-  if (!provably_empty) {
-    TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
-                            grid_.GatherRangeRows(ctx, box));
-    TABULA_ASSIGN_OR_RETURN(BoundPredicate pred,
-                            BoundPredicate::Bind(*table_, request.where));
-    matching = pred.FilterRows(rows);
-  }
-  return AnswerHybridRange(ctx, grid_.options().resample_cap,
-                           std::move(matching), result);
-}
-
-Status Tabula::AnswerHybridRange(const SpatialGrid::Context& ctx,
-                                 size_t resample_cap,
-                                 std::vector<RowId> matching,
-                                 TabulaQueryResult* result) {
-  if (matching.empty()) {
-    result->empty_cell = true;
-    result->sample = DatasetView(ctx.table, {});
-    return Status::OK();
-  }
-  result->from_local_sample = true;
-  if (resample_cap == 0 || matching.size() <= resample_cap) {
-    result->sample = DatasetView(ctx.table, std::move(matching));
-    return Status::OK();
-  }
-  GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                          sampler.Sample(DatasetView(ctx.table, matching)));
-  result->sample = DatasetView(ctx.table, std::move(sample));
-  return Status::OK();
 }
 
 }  // namespace tabula

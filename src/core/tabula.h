@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/query_engine.h"
+#include "core/cube_engine.h"
 #include "core/query_request.h"
 #include "cube/cube_table.h"
 #include "cube/dry_run.h"
@@ -178,33 +178,34 @@ struct QueryResponse {
 ///
 /// Implements QueryEngine, the interface the serving layer routes
 /// through, so a `Tabula` and a sharded `ShardedTabula` (src/shard/)
-/// are interchangeable behind a QueryServer.
-class Tabula : public QueryEngine {
+/// are interchangeable behind a QueryServer. Request handling, Refresh()
+/// and the refresh bookkeeping come from CubeEngine; this class supplies
+/// the cube-cell and grid lookups.
+class Tabula : public CubeEngine {
  public:
   /// Builds the partially materialized sampling cube over `table`.
   /// `table` must outlive the returned instance.
   static Result<std::unique_ptr<Tabula>> Initialize(const Table& table,
                                                     TabulaOptions options);
 
-  /// Answers a dashboard query — the canonical entry point. Every
-  /// `request.where` term must be an equality predicate on a cubed
-  /// attribute (the paper's WHERE-clause contract); attributes not
-  /// mentioned roll up to '*'. `request.deadline_ms` and
-  /// `request.consistency` are serving-layer knobs and are ignored
-  /// here; `request.trace`/`request.parent_span` drive the "tabula.query"
-  /// span emitted into the attached tracer.
-  ///
-  /// Thread-safety contract (const ⇒ safe for concurrent readers):
-  /// Query() reads only state that is immutable after
-  /// Initialize()/Load() — the key encoder/packer, cube table, sample
-  /// table, and global-sample row list — through genuinely const paths
-  /// with no hidden caches, so any number of threads may call it
-  /// concurrently (the Tracer is internally synchronized). The mutating
-  /// entry points (Refresh(), and replacing the instance via Load())
-  /// are NOT safe against in-flight Query() calls; callers must
-  /// serialize them externally — QueryServer in src/serve/ does so with
-  /// a shared/exclusive lock.
-  Result<QueryResponse> Query(const QueryRequest& request) const override;
+  // Query() (CubeEngine) answers a dashboard query — the canonical
+  // entry point. Every `request.where` term must be an equality
+  // predicate on a cubed attribute (the paper's WHERE-clause contract);
+  // attributes not mentioned roll up to '*'. `request.deadline_ms` and
+  // `request.consistency` are serving-layer knobs and are ignored
+  // here; `request.trace`/`request.parent_span` drive the "tabula.query"
+  // span emitted into the attached tracer.
+  //
+  // Thread-safety contract (const ⇒ safe for concurrent readers):
+  // Query() reads only state that is immutable after
+  // Initialize()/Load() — the key encoder/packer, cube table, sample
+  // table, and global-sample row list — through genuinely const paths
+  // with no hidden caches (with the store enabled, promotes mutate
+  // under store_mu_), so any number of threads may call it
+  // concurrently. The mutating entry points (Refresh(), and replacing
+  // the instance via Load()) are NOT safe against in-flight Query()
+  // calls; callers must serialize them externally — QueryServer in
+  // src/serve/ does so with a shared/exclusive lock.
 
   const TabulaInitStats& init_stats() const { return stats_; }
   /// The spans of the last Initialize() (or full rebuild), root first:
@@ -212,7 +213,6 @@ class Tabula : public QueryEngine {
   /// init_stats() stage timings are these spans' durations.
   const std::vector<SpanRecord>& init_trace() const { return init_trace_; }
   const TabulaOptions& options() const { return options_; }
-  const Table& base_table() const override { return *table_; }
   const CubeTable& cube_table() const { return cube_; }
   const SampleTable& sample_table() const { return samples_; }
   /// The tiered sample store (enabled() is false when budget_bytes==0).
@@ -224,13 +224,10 @@ class Tabula : public QueryEngine {
   /// byte budget. Follows the same external-serialization contract as
   /// Refresh(). No-op when the store is disabled.
   Status MaintainStoreTiers();
-  const DatasetView& global_sample() const override { return global_sample_; }
   /// The spatial grid (present() is false when disabled).
   const SpatialGrid& spatial_grid() const { return grid_; }
 
-  /// Average bytes per materialized tuple of the base schema (used to
-  /// cost sample memory like the paper's materialized tuples).
-  uint64_t BytesPerTuple() const;
+  using CubeEngine::BytesPerTuple;
 
   /// \brief Persists the initialized sampling cube (global sample rows,
   /// cube table, sample table) to a binary file so subsequent sessions
@@ -258,8 +255,10 @@ class Tabula : public QueryEngine {
   // RefreshStats is inherited from QueryEngine; `Tabula::RefreshStats`
   // keeps naming it for existing callers.
 
-  /// \brief Incremental maintenance after the base table grew (an
-  /// extension beyond the paper, which builds the cube once).
+  /// \brief Streaming-maintenance phases (see QueryEngine): incremental
+  /// maintenance after the base table grew (an extension beyond the
+  /// paper, which builds the cube once). Refresh() (CubeEngine) is
+  /// exactly Plan → Begin → Execute → Commit run back-to-back.
   ///
   /// Call after appending rows to the base table. Re-derives every cube
   /// cell's loss state from the maintained finest-cuboid states (no
@@ -273,39 +272,46 @@ class Tabula : public QueryEngine {
   /// RefreshStats::full_rebuild). Representative-sample sharing is not
   /// re-optimized here — memory may drift above optimal until the next
   /// full initialization.
-  Status Refresh(RefreshStats* stats = nullptr) override;
-
-  /// \brief Streaming-maintenance phases (see QueryEngine). Refresh()
-  /// is exactly Plan → Begin → Execute → Commit run back-to-back; the
-  /// split lets the ingestion layer run the fallible/slow phases under
-  /// a shared lock so queries keep serving. Plan/Execute mutate only
-  /// plan-staged state plus maintenance-only members no Query() path
-  /// reads (finest_states_, maintenance_bound_); Begin/Commit mutate
-  /// query-visible state and need the exclusive section. At most one
-  /// plan may be in flight at a time.
+  ///
+  /// The split lets the ingestion layer run the fallible/slow phases
+  /// under a shared lock so queries keep serving. Plan/Execute mutate
+  /// only plan-staged state plus maintenance-only members no Query()
+  /// path reads (finest_states_, maintenance_bound_); Begin/Commit
+  /// mutate query-visible state and need the exclusive section. At most
+  /// one plan may be in flight at a time.
   Result<std::unique_ptr<IngestPlan>> PlanIngest() override;
-  void BeginIngest(IngestPlan* plan) override;
   Status ExecuteIngest(IngestPlan* plan) override;
   Status CommitIngest(std::unique_ptr<IngestPlan> plan,
                       RefreshStats* stats = nullptr) override;
-  size_t PendingIngestRows() const override {
-    return table_->num_rows() - refreshed_rows_;
-  }
-
-  /// Monotone cube-content version, bumped by every successful
-  /// Refresh() that saw appended rows (full rebuilds included). Caches
-  /// layered above the middleware key their coherence off this counter.
-  uint64_t generation() const override { return generation_; }
-
-  /// Registers `listener` to run after every successful Refresh() (in
-  /// the refreshing thread, once the cube has mutated) — the
-  /// invalidation hook serve/ResultCache fences itself with. Returns a
-  /// handle for RemoveRefreshListener(). Listener registration follows
-  /// the same external-serialization contract as Refresh() itself.
-  uint64_t AddRefreshListener(std::function<void()> listener) override;
-  void RemoveRefreshListener(uint64_t id) override;
 
  private:
+  Tracer* tracer() const override { return options_.tracer; }
+  /// One cube cell: its (store-served) local sample when iceberg, else
+  /// the global sample the dry run verified within θ.
+  void ServeCell(uint64_t key, uint64_t query_span,
+                 TabulaQueryResult* result) const override;
+  const SpatialGrid& range_grid() const override { return grid_; }
+  /// Same sampler seeding as the real run, so grid sampling is
+  /// deterministic per options.
+  SpatialGrid::Context SpatialContext() const override;
+  Result<SpatialGrid::RangeAnswer> QueryGrid(
+      const SpatialGrid::Context& ctx, const SpatialGrid::ResolvedBBox& box,
+      TabulaQueryResult*) const override {
+    return grid_.RangeQuery(ctx, box);
+  }
+  Result<std::vector<RowId>> GatherGridRows(
+      const SpatialGrid::Context& ctx, const SpatialGrid::ResolvedBBox& box,
+      TabulaQueryResult*) const override {
+    return grid_.GatherRangeRows(ctx, box);
+  }
+  /// Spill read + lazy re-verify when a record exists, deterministic
+  /// re-sample otherwise (seeded like the build, so promote → demote →
+  /// promote reproduces the original bytes); kHot past the hit
+  /// threshold.
+  Status RestoreColdLocked(uint64_t key, uint32_t id,
+                           std::vector<RowId>* sample,
+                           SampleTier* tier) const override;
+
   /// ShardedTabula builds, persists and serves its shards as partitions
   /// of this class (BuildPartition and the members below); it adds no
   /// public surface.
@@ -347,14 +353,6 @@ class Tabula : public QueryEngine {
   /// Accumulates the per-finest-cell loss states over rows [0, n) for
   /// incremental maintenance.
   Status BuildMaintenanceState();
-
-  /// Refresh() of both engines: Plan → Begin → Execute → Commit run
-  /// back-to-back under one `tabula.refresh` span. `on_plan` (may be
-  /// empty) sees each plan first — the sharded engine parents its shard
-  /// builds under the span there.
-  static Status RunRefresh(
-      QueryEngine* engine, Tracer* tracer, RefreshStats* stats,
-      const std::function<void(IngestPlan*, Span*)>& on_plan);
 
   /// Rolls finest-cuboid states up the whole lattice: one state map per
   /// cuboid (index = CuboidMask). `dirty` (optional, one key set per
@@ -404,23 +402,6 @@ class Tabula : public QueryEngine {
   /// The bound loss (options_.effective_loss(), cached at Initialize).
   const LossFunction* loss_fn() const { return options_.effective_loss(); }
 
-  /// Loss machinery bundle for SpatialGrid calls (same sampler seeding
-  /// as the real run, so grid sampling is deterministic per options).
-  SpatialGrid::Context SpatialContext() const;
-
-  /// Answers a request with a non-empty `range` (bbox). `result` fields
-  /// other than generation are filled here.
-  Status QueryRange(const QueryRequest& request, bool has_pending,
-                    TabulaQueryResult* result) const;
-  /// The answer to a hybrid bbox + equality request from its matching
-  /// rows (ascending): empty, the rows themselves when at most
-  /// `resample_cap`, else SAMPLING(matching, θ) at query time — all
-  /// within θ and deterministic. Shared by both engines.
-  static Status AnswerHybridRange(const SpatialGrid::Context& ctx,
-                                  size_t resample_cap,
-                                  std::vector<RowId> matching,
-                                  TabulaQueryResult* result);
-
   // --- Tiered sample store (src/core/store_tier.cc) -----------------
   /// Whether the tiered store is active for this instance.
   bool store_enabled() const { return options_.store.budget_bytes > 0; }
@@ -434,53 +415,18 @@ class Tabula : public QueryEngine {
   /// cell's cuboid — the lazy-promote analogue of PlanIngest's gather.
   Status GatherCellRows(const IcebergCell& cell,
                         std::vector<RowId>* rows) const;
-  /// Restores a cold cell's sample: spill read + lazy re-verify when a
-  /// record exists, deterministic re-sample otherwise (seeded like the
-  /// build, so promote→demote→promote reproduces the original bytes).
-  /// Upgrades straight to kHot past the hit threshold. When the sample
-  /// alone cannot fit the budget it is handed back via `transient`
-  /// (served θ-bounded but not retained). Caller holds store_mu_
-  /// exclusively; fires the `store.promote` seam.
-  Status PromoteLocked(IcebergCell* cell,
-                       std::vector<RowId>* transient) const;
-  /// Demotes CLOCK victims of `store` — whose bytes live in `samples` —
-  /// until resident bytes + `incoming` fit its budget; `protect` is never
-  /// victimized. Infallible (spill-write failures degrade to drop mode).
-  /// Caller holds the store's lock exclusively. The sharded engine
-  /// enforces its override store with it too.
-  static void EnforceStoreBudgetLocked(SampleStore* store,
-                                       SampleTable* samples,
-                                       uint64_t incoming = 0,
-                                       uint32_t protect = kInvalidSampleId);
-  /// Serve path for an iceberg-cell hit with the store enabled: hit
-  /// accounting under the shared lock, lazy promote-on-miss under the
-  /// exclusive lock (with a `store.promote` span), degrade-to-global on
-  /// promote failure.
-  void ServeStoredSample(uint64_t key, uint64_t parent_span,
-                         TabulaQueryResult* result) const;
 
-  const Table* table_ = nullptr;
   TabulaOptions options_;
   std::vector<SpanRecord> init_trace_;
-  KeyEncoder encoder_;
-  KeyPacker packer_;
-  std::vector<RowId> global_sample_rows_;
-  DatasetView global_sample_;
   /// Mutable: with the store enabled, const Query() promotes cold cells
   /// in place under store_mu_'s exclusive section. With the store
   /// disabled both are immutable after Initialize()/Load(), preserving
   /// the pre-tiering const contract.
   mutable CubeTable cube_;
   mutable SampleTable samples_;
-  /// Tier/residency bookkeeping (inert when store_enabled() is false).
+  /// Tier/residency bookkeeping (inert when store_enabled() is false),
+  /// guarded with cube_/samples_ by store_mu_.
   mutable SampleStore store_;
-  /// Guards cube_/samples_/store_ once the store is enabled: Query()
-  /// takes it shared for lookups + hit accounting and exclusive for the
-  /// lazy promote; the ingest phases that touch samples take it
-  /// exclusive. Heap-allocated so Tabula stays move-assignable (the
-  /// full-rebuild commit moves a fresh instance over *this).
-  mutable std::unique_ptr<std::shared_mutex> store_mu_ =
-      std::make_unique<std::shared_mutex>();
   /// Hierarchical spatial grid (absent unless options_.spatial enables
   /// it). Immutable between mutating entry points, like the cube.
   SpatialGrid grid_;
@@ -497,7 +443,6 @@ class Tabula : public QueryEngine {
   /// Incremental-maintenance state (see Refresh()).
   std::unique_ptr<BoundLoss> maintenance_bound_;
   FlatHashMap<LossState> finest_states_;
-  size_t refreshed_rows_ = 0;
   /// Row ids of every finest cell over rows [0, finest_rows_indexed_),
   /// each list ascending. Lets ingest cycles gather any cell's raw rows
   /// without a table scan — a coarser cell's rows are the union of its
@@ -508,19 +453,6 @@ class Tabula : public QueryEngine {
   /// the same trade keep_maintenance_state already opts into.
   FlatHashMap<std::vector<RowId>> finest_rows_;
   size_t finest_rows_indexed_ = 0;
-  /// Cells the in-flight ingest cycle will change (packed keys across
-  /// all cuboids), published by BeginIngest and cleared by CommitIngest.
-  /// Query() reads it for precise staleness tagging; empty while rows
-  /// are pending means "not classified yet" → every cell is
-  /// conservatively stale.
-  FlatHashSet pending_dirty_;
-
-  /// Fires every registered refresh listener (after a cube mutation).
-  void NotifyRefreshListeners();
-
-  uint64_t generation_ = 0;
-  uint64_t next_listener_id_ = 1;
-  std::vector<std::pair<uint64_t, std::function<void()>>> refresh_listeners_;
 };
 
 }  // namespace tabula

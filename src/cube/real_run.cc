@@ -39,61 +39,13 @@ CellRowsMap MergeChunkMaps(std::vector<CellRowsMap> partials,
   return merged;
 }
 
-/// Semi-join path: one scan; only rows whose cell key is an iceberg key
-/// are collected (paper's "equi-join with the iceberg cell table").
-CellRowsMap CollectJoinPath(const DatasetView& rows, const KeyEncoder& enc,
-                            const KeyPacker& packer, CuboidMask mask,
-                            const FlatHashSet& iceberg) {
-  auto& pool = ThreadPool::Global();
-  size_t chunks = ThreadPool::DeterministicChunkCount(rows.size());
-  std::vector<CellRowsMap> partials(chunks);
-  pool.ParallelForDeterministic(
-      rows.size(), [&](size_t chunk, size_t begin, size_t end) {
-        auto& map = partials[chunk];
-        map.reserve(iceberg.size());
-        for (size_t i = begin; i < end; ++i) {
-          const RowId r = rows.row(i);
-          uint64_t key = packer.PackRowMasked(enc, r, mask);
-          if (iceberg.Contains(key)) map[key].push_back(r);
-        }
-      });
-  return MergeChunkMaps(std::move(partials), iceberg.size());
-}
-
-/// Full-GroupBy path: group *all* rows of the cuboid, then keep iceberg
-/// groups only.
-CellRowsMap CollectGroupByPath(const DatasetView& rows, const KeyEncoder& enc,
-                               const KeyPacker& packer, CuboidMask mask,
-                               const FlatHashSet& iceberg,
-                               size_t total_cells) {
-  auto& pool = ThreadPool::Global();
-  size_t chunks = ThreadPool::DeterministicChunkCount(rows.size());
-  std::vector<CellRowsMap> partials(chunks);
-  pool.ParallelForDeterministic(
-      rows.size(), [&](size_t chunk, size_t begin, size_t end) {
-        auto& map = partials[chunk];
-        map.reserve(std::min(total_cells, end - begin));
-        for (size_t i = begin; i < end; ++i) {
-          const RowId r = rows.row(i);
-          map[packer.PackRowMasked(enc, r, mask)].push_back(r);
-        }
-      });
-  CellRowsMap merged = MergeChunkMaps(std::move(partials), total_cells);
-  // Filter to iceberg cells.
-  CellRowsMap filtered(iceberg.size());
-  merged.ForEach([&](uint64_t key, std::vector<RowId>& rows) {
-    if (iceberg.Contains(key)) filtered[key] = std::move(rows);
-  });
-  return filtered;
-}
-
 /// Vectorized collectors: both derive the cuboid's cell keys from the
 /// precomputed finest-cuboid row keys with the two-op mask transform —
 /// batched (key & keep) | set over whole morsels — instead of
 /// re-gathering every key column per cuboid. Grain boundaries are pure
 /// f(n) and partials merge in ascending grain order, so each cell's row
 /// list is ascending and the merged map is byte-identical to the scalar
-/// reference engine. `row_keys[i]` is the finest key of view position i;
+/// reference (RunRealRunScalarReference, src/testing/). `row_keys[i]` is the finest key of view position i;
 /// `ids` maps positions to base-table row ids (nullptr = identity, an
 /// all-rows view).
 
@@ -289,13 +241,13 @@ CellRowsMap CollectGroupByPathVec(const std::vector<uint64_t>& row_keys,
 
 }  // namespace
 
-Result<RealRunResult> RunRealRun(
-    const DatasetView& rows, const KeyEncoder& encoder,
-    const KeyPacker& packer,
-    const Lattice& lattice, const DryRunResult& dry_run,
-    const LossFunction& loss, double theta,
-    const GreedySamplerOptions& sampler_options,
-    RealRunPathPolicy path_policy, RealRunEngine engine) {
+Result<RealRunResult> RunRealRun(const DatasetView& rows,
+                                 const KeyEncoder& encoder,
+                                 const KeyPacker& packer,
+                                 const DryRunResult& dry_run,
+                                 const LossFunction& loss, double theta,
+                                 const GreedySamplerOptions& sampler_options,
+                                 RealRunPathPolicy path_policy) {
   Stopwatch total;
   const Table& table = *rows.table();
   RealRunResult result;
@@ -308,7 +260,7 @@ Result<RealRunResult> RunRealRun(
   // two bitwise ops per row away (see CollectJoinPathVec).
   std::vector<uint64_t> row_keys;
   FinestGroups finest_groups;
-  if (engine == RealRunEngine::kVectorized && dry_run.iceberg_cuboids > 0) {
+  if (dry_run.iceberg_cuboids > 0) {
     Stopwatch pack_timer;
     const size_t num_rows = rows.size();
     row_keys.resize(num_rows);
@@ -346,32 +298,24 @@ Result<RealRunResult> RunRealRun(
                            static_cast<double>(info.total_cells));
         break;
     }
+    // Under kAuto the grouped-dense collector beats either scalar-shaped
+    // plan whenever the finest grouping is selective: every per-row hash
+    // is replaced by an array gather, and per-cuboid hash work shrinks
+    // from |rows| to |distinct finest keys|. Explicit path policies (and
+    // cuboids too wide for counting-sort arrays) keep the vectorized
+    // join/group-by collectors, which mirror the reference plans.
     CellRowsMap cell_rows;
-    if (engine == RealRunEngine::kVectorized) {
-      // Under kAuto the grouped-dense collector beats either scalar-shaped
-      // plan whenever the finest grouping is selective: every per-row hash
-      // is replaced by an array gather, and per-cuboid hash work shrinks
-      // from |rows| to |distinct finest keys|. Explicit path policies (and
-      // cuboids too wide for counting-sort arrays) keep the vectorized
-      // join/group-by collectors, which mirror the reference plans.
-      if (path_policy == RealRunPathPolicy::kAuto &&
-          finest_groups.group_key.size() <= kDenseCellLimit) {
-        cell_rows = CollectGroupedVec(finest_groups, rows.raw_rows(), packer,
-                                      info.mask, iceberg);
-      } else {
-        cell_rows =
-            join_path
-                ? CollectJoinPathVec(row_keys, rows.raw_rows(), packer,
-                                     info.mask, info.iceberg_keys)
-                : CollectGroupByPathVec(row_keys, rows.raw_rows(), packer,
-                                        info.mask, iceberg, info.total_cells);
-      }
+    if (path_policy == RealRunPathPolicy::kAuto &&
+        finest_groups.group_key.size() <= kDenseCellLimit) {
+      cell_rows = CollectGroupedVec(finest_groups, rows.raw_rows(), packer,
+                                    info.mask, iceberg);
     } else {
       cell_rows =
           join_path
-              ? CollectJoinPath(rows, encoder, packer, info.mask, iceberg)
-              : CollectGroupByPath(rows, encoder, packer, info.mask, iceberg,
-                                   info.total_cells);
+              ? CollectJoinPathVec(row_keys, rows.raw_rows(), packer,
+                                   info.mask, info.iceberg_keys)
+              : CollectGroupByPathVec(row_keys, rows.raw_rows(), packer,
+                                      info.mask, iceberg, info.total_cells);
     }
 
     for (auto& [key, raw] : cell_rows.ExtractSorted()) {
@@ -432,7 +376,6 @@ Result<RealRunResult> RunRealRun(
     result.cube.Add(std::move(cell));
   }
 
-  (void)lattice;
   result.millis = total.ElapsedMillis();
   return result;
 }

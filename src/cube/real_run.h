@@ -15,14 +15,6 @@ namespace tabula {
 /// for the cost-model ablation bench.
 enum class RealRunPathPolicy { kAuto, kAlwaysJoin, kAlwaysGroupBy };
 
-/// Which collection engine the real run uses. kVectorized packs every
-/// row's finest-cuboid key once (batched columnar PackRows) and derives
-/// each cuboid's keys with the two-op mask transform
-/// (KeyPacker::TransformFor); kScalarReference is the per-row
-/// PackRowMasked engine, preserved for head-to-head benching and as the
-/// differential oracle — both must produce byte-identical cubes.
-enum class RealRunEngine { kVectorized, kScalarReference };
-
 /// Per-cuboid diagnostics from the real-run stage.
 struct CuboidRealRunInfo {
   CuboidMask mask = 0;
@@ -43,7 +35,7 @@ struct RealRunResult {
   size_t local_sample_tuples = 0;
   double millis = 0.0;
   /// Per-stage breakdown of `millis`: the one-time finest-key packing
-  /// pass (kVectorized only), iceberg-row collection across all cuboids
+  /// pass, iceberg-row collection across all cuboids
   /// (the sum of per_cuboid[i].millis), and the one greedy sampling pass
   /// over every iceberg cell.
   double pack_millis = 0.0;
@@ -56,20 +48,21 @@ struct RealRunResult {
 /// Skips every cuboid without iceberg cells, and for each iceberg cuboid
 /// fetches the raw data of its iceberg cells among `rows` — via a full
 /// GroupBy or via the iceberg-cell semi-join, whichever the cost model
-/// picks over |rows|. Then it runs the greedy SAMPLING() aggregate
-/// (Algorithm 1) for every iceberg cell of every cuboid in one work
-/// queue, largest cell first, with no barrier between cuboids. Cells
-/// enter the cube in cuboid order, then ascending key order. Each cell's
-/// raw rows come out in `rows` order, so an ascending view yields
-/// ascending cell rows.
+/// picks over |rows|. Every row's finest-cuboid key is packed once
+/// (batched columnar PackRows); each cuboid's keys derive from it with
+/// the two-op mask transform (KeyPacker::TransformFor). Then it runs the
+/// greedy SAMPLING() aggregate (Algorithm 1) for every iceberg cell of
+/// every cuboid in one work queue, largest cell first, with no barrier
+/// between cuboids. Cells enter the cube in cuboid order, then ascending
+/// key order. Each cell's raw rows come out in `rows` order, so an
+/// ascending view yields ascending cell rows. The per-row scalar engine
+/// it replaced is RunRealRunScalarReference (src/testing/), the oracle.
 Result<RealRunResult> RunRealRun(
     const DatasetView& rows, const KeyEncoder& encoder,
-    const KeyPacker& packer,
-    const Lattice& lattice, const DryRunResult& dry_run,
+    const KeyPacker& packer, const DryRunResult& dry_run,
     const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,
-    RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto,
-    RealRunEngine engine = RealRunEngine::kVectorized);
+    RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto);
 
 }  // namespace tabula
 

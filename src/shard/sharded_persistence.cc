@@ -256,7 +256,7 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
       sharded->merged_.ForEach([&](uint64_t, const MergedCell& cell) {
         if (cell.has_override) ++orefs[cell.override_id];
       });
-      const uint64_t tuple_bytes = sharded->parts_.front()->BytesPerTuple();
+      const uint64_t tuple_bytes = sharded->BytesPerTuple();
       for (uint32_t id = 0; id < sharded->override_samples_.size(); ++id) {
         sharded->override_store_.Adopt(
             id, override_tiers[id],

@@ -1,19 +1,17 @@
 #include <algorithm>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "core/where_clause.h"
 #include "shard/sharded_tabula.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
 
-/// Scatter-gather answer path.
+/// Scatter-gather answer paths (CubeEngine::Query does the request
+/// handling around them).
 ///
-/// The merged directory decides the shape of the answer:
+/// Equality: the merged directory decides the shape of the answer:
 ///  - key absent → non-iceberg cell; the global sample is within θ
 ///    (verified at merge time from the exactly-merged loss states).
 ///  - override entry → the union sample violated θ at merge time and a
@@ -23,180 +21,173 @@ namespace tabula {
 ///    shard-local samples in ascending shard order (deterministic);
 ///    `augment_global` cells append the global sample, the verified
 ///    stand-in for slices whose shards were individually within θ of
-///    it and therefore hold no local sample. A
-///    shard failing at the `shard.query` seam degrades the answer: its
-///    slice is covered by appending the global sample, the shard id
-///    lands in `unavailable_shards`, and `shard_error` carries the
-///    kUnavailable detail — the request still succeeds, but the θ bound
-///    is voided and the caller is told so.
-Result<QueryResponse> ShardedTabula::Query(const QueryRequest& request) const {
-  Tracer* tracer = options_.base.tracer;
-  Span span;
-  if (tracer != nullptr) {
-    span = tracer->StartSpan("tabula.query", request.parent_span,
-                            request.trace);
-  }
-  Stopwatch timer;
-  QueryResponse response;
-  response.span_id = span.id();
-  TabulaQueryResult& result = response.result;
-  const std::vector<PredicateTerm>& where = request.where;
-  // Progressive-answer tagging, identical to the plain engine: the
-  // generation the answer is computed at, plus whether pending rows are
-  // scheduled to change this cell (per-cell once BeginIngest published
-  // the dirty set, conservatively everywhere before that).
-  result.generation = generation_;
-  const bool has_pending = table_->num_rows() > refreshed_rows_;
+///    it and therefore hold no local sample.
+///
+/// Bbox: each shard holds a spatial grid over its own rows (built
+/// against the shared global reference sample), so a bbox answer is
+/// composed from per-shard partials exactly the way the cell merge
+/// composes per-shard samples: slices are disjoint, every partial is
+/// within θ of its slice, and the union-closure / exact-state /
+/// re-sample ladder (SpatialGrid::ComposePartials) restores the
+/// composed bound.
+///
+/// A shard whose every replica is down or faulted degrades either
+/// answer: the global sample stands in for its slice, the shard id
+/// lands in `unavailable_shards`, and `shard_error` carries the
+/// kUnavailable detail — the request still succeeds, but the θ bound is
+/// voided and the caller is told so.
 
-  auto finish = [&]() {
-    if (span.recording()) {
-      span.SetAttribute("terms", where.size());
-      span.SetAttribute("from_local_sample", result.from_local_sample);
-      span.SetAttribute("empty_cell", result.empty_cell);
-      span.SetAttribute("sample_rows", result.sample.size());
-      span.SetAttribute("unavailable_shards",
-                        result.unavailable_shards.size());
-      result.data_system_millis = span.End();
-    } else {
-      result.data_system_millis = timer.ElapsedMillis();
-    }
-  };
-
-  // Bbox (pan/zoom) requests take the spatial scatter-gather path;
-  // everything below it is the pre-spatial equality surface, untouched
-  // bit for bit.
-  if (!request.range.empty()) {
-    TABULA_RETURN_NOT_OK(QueryRange(request, has_pending, &result));
-    finish();
-    return response;
-  }
-
-  // The WHERE-clause contract (and error wording) of the plain engine.
-  std::vector<uint32_t> codes;
-  bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(
-      ValidateEqualityTerms(encoder_, where, &codes, &provably_empty));
-  if (provably_empty) {
-    result.empty_cell = true;
-    result.stale = has_pending;
-    result.sample = DatasetView(table_, {});
-    finish();
-    return response;
-  }
-
-  uint64_t key = packer_.PackCodes(codes);
-  result.stale =
-      has_pending && (pending_dirty_.empty() || pending_dirty_.Contains(key));
-  const MergedCell* cell = merged_.Find(key);
-  if (cell == nullptr) {
-    result.sample = DatasetView(table_, global_sample_rows_);
-    finish();
-    return response;
-  }
-  result.from_local_sample = true;
-  if (cell->has_override) {
-    if (!store_enabled()) {
-      result.sample =
-          DatasetView(table_, override_samples_.sample(cell->override_id));
-      finish();
-      return response;
-    }
-    const uint32_t id = cell->override_id;
-    {
-      std::shared_lock<std::shared_mutex> lock(*store_mu_);
-      override_store_.RecordHit(id);
-      if (override_store_.resident(id)) {
-        result.sample = DatasetView(table_, override_samples_.sample(id));
-        finish();
-        return response;
-      }
-    }
-    // Cold override: lazily promote under the exclusive section.
-    std::unique_lock<std::shared_mutex> lock(*store_mu_);
-    if (override_store_.resident(id)) {
-      // Raced with another promoter; serve its work.
-      result.sample = DatasetView(table_, override_samples_.sample(id));
-      finish();
-      return response;
-    }
-    std::vector<RowId> restored;
-    Status promoted = PromoteOverrideLocked(key, *cell, &restored);
-    if (promoted.ok()) {
-      result.sample = DatasetView(table_, std::move(restored));
-    } else {
-      // Degrade to the global sample — never the stale evicted bytes.
-      override_store_.CountPromoteFailure();
-      result.from_local_sample = false;
-      result.store_degraded = true;
-      result.sample = DatasetView(table_, global_sample_rows_);
-    }
-    finish();
-    return response;
-  }
-
-  Span fanout_span;
-  if (span.recording() && tracer != nullptr) {
-    fanout_span = tracer->StartSpan("shard.query.fanout", span.id());
-    fanout_span.SetAttribute("shards", parts_.size());
-    fanout_span.SetAttribute("replicas_per_shard", replicas_per_shard());
-  }
+template <typename Serve>
+bool ShardedTabula::FanOut(TabulaQueryResult* result, Serve&& serve) const {
   Stopwatch fanout_timer;
-  std::vector<RowId> gathered;
   for (size_t s = 0; s < parts_.size(); ++s) {
     Stopwatch shard_timer;
     // The legacy whole-group seam: a `shard.query` fault takes out all
     // R replicas at once (the semantics every pre-replication test and
     // the soak fault menu rely on); `replica.query` faults take out
-    // individual probes and the router fails over.
-    Status shard_status = Status::OK();
+    // individual probes and the router fails over. A grid call's own
+    // `spatial.plan` / `spatial.scan` seams count as the shard failing.
+    Status status = Status::OK();
     if (FaultInjector::AnyArmed()) {
-      shard_status = FaultInjector::Global().Hit("shard.query");
+      status = FaultInjector::Global().Hit("shard.query");
     }
-    if (shard_status.ok()) {
-      shard_status =
-          QueryShardReplicas(s, key, span.id(), &gathered, &result);
-    }
-    if (!shard_status.ok()) {
-      result.unavailable_shards.push_back(static_cast<uint32_t>(s));
-      if (result.shard_error.ok()) {
-        result.shard_error = Status::Unavailable(
+    if (status.ok()) status = ProbeReplicas(s);
+    if (status.ok()) status = serve(s);
+    if (!status.ok()) {
+      result->unavailable_shards.push_back(static_cast<uint32_t>(s));
+      if (result->shard_error.ok()) {
+        result->shard_error = Status::Unavailable(
             "shard " + std::to_string(s) +
-            " unavailable during scatter-gather: " + shard_status.message());
+            " unavailable during scatter-gather: " + status.message());
       }
       metrics_.counter("shard_unavailable_total").Increment();
     }
-    metrics_.histogram("shard" + std::to_string(s) + "_query_latency")
-        .RecordMillis(shard_timer.ElapsedMillis());
+    shard_latency_[s]->RecordMillis(shard_timer.ElapsedMillis());
   }
-  if (!result.unavailable_shards.empty()) {
-    metrics_.counter("shard_degraded_answers").Increment();
+  fanout_latency_->RecordMillis(fanout_timer.ElapsedMillis());
+  if (result->unavailable_shards.empty()) return false;
+  metrics_.counter("shard_degraded_answers").Increment();
+  return true;
+}
+
+void ShardedTabula::AnnotateQuerySpan(const TabulaQueryResult& result,
+                                      Span* span) const {
+  span->SetAttribute("unavailable_shards", result.unavailable_shards.size());
+}
+
+void ShardedTabula::ServeCell(uint64_t key, uint64_t query_span,
+                              TabulaQueryResult* result) const {
+  const MergedCell* cell = merged_.Find(key);
+  if (cell == nullptr) {
+    result->sample = DatasetView(table_, global_sample_rows_);
+    return;
   }
-  if (cell->augment_global || !result.unavailable_shards.empty()) {
+  if (cell->has_override) {
+    if (store_enabled()) {
+      // One re-drawn sample per override cell: the slot is never
+      // shared, so a promote never re-points the directory.
+      uint32_t id = cell->override_id;
+      ServeStoredSample(&override_store_, &override_samples_, key, &id,
+                        query_span, result);
+    } else {
+      result->from_local_sample = true;
+      result->sample =
+          DatasetView(table_, override_samples_.sample(cell->override_id));
+    }
+    return;
+  }
+
+  Span fanout_span;
+  if (query_span != 0) {
+    fanout_span = tracer()->StartSpan("shard.query.fanout", query_span);
+    fanout_span.SetAttribute("shards", parts_.size());
+    fanout_span.SetAttribute("replicas_per_shard", replicas_per_shard());
+  }
+  std::vector<RowId> gathered;
+  const bool degraded = FanOut(result, [&](size_t s) {
+    ServeSlice(s, key, query_span, &gathered, result);
+    return Status::OK();
+  });
+  if (result->store_degraded) {
+    // A cold slice failed to promote: the union is incomplete and the
+    // missing slice's evicted bytes must never be served, so the whole
+    // answer degrades to the global sample.
+    result->sample = DatasetView(table_, global_sample_rows_);
+  } else if (degraded || cell->augment_global) {
     // The global sample stands in for slices the union does not cover.
     // For an `augment_global` cell that is the *verified* answer: its
     // conflict slices are within θ of the global sample and the merge
     // checked union + global against θ. For a degraded answer (shard
     // unavailable) the same rows are a best effort and the bound is
     // voided — which `unavailable_shards` being non-empty signals.
-    gathered.insert(gathered.end(), global_sample_rows_.begin(),
-                    global_sample_rows_.end());
+    ServeWithGlobal(std::move(gathered), result);
+  } else {
+    result->from_local_sample = true;
+    result->sample = DatasetView(table_, std::move(gathered));
   }
-  double fanout_millis = fanout_span.recording()
-                             ? fanout_span.End()
-                             : fanout_timer.ElapsedMillis();
-  metrics_.histogram("shard_fanout_latency").RecordMillis(fanout_millis);
-  if (result.store_degraded) {
-    // A cold slice failed to promote: the union is incomplete and the
-    // missing slice's evicted bytes must never be served, so the whole
-    // answer degrades to the global sample.
-    result.from_local_sample = false;
-    result.sample = DatasetView(table_, global_sample_rows_);
-    finish();
-    return response;
+}
+
+SpatialGrid::Context ShardedTabula::SpatialContext() const {
+  // Grid calls classify against the coordinator's global sample (a
+  // partition built before an adopted redraw still holds the old one).
+  SpatialGrid::Context ctx = parts_[0]->SpatialContext();
+  ctx.ref = global_sample_;
+  return ctx;
+}
+
+Result<SpatialGrid::RangeAnswer> ShardedTabula::QueryGrid(
+    const SpatialGrid::Context& ctx, const SpatialGrid::ResolvedBBox& box,
+    TabulaQueryResult* result) const {
+  std::vector<SpatialGrid::RangeAnswer> partials;
+  partials.reserve(parts_.size());
+  const bool degraded = FanOut(result, [&](size_t s) -> Status {
+    TABULA_ASSIGN_OR_RETURN(SpatialGrid::RangeAnswer partial,
+                            parts_[s]->grid_.RangeQuery(ctx, box));
+    partials.push_back(std::move(partial));
+    return Status::OK();
+  });
+  if (degraded) {
+    // What the healthy shards gathered; the caller adds the global
+    // sample as the stand-in for the missing slices.
+    SpatialGrid::RangeAnswer gathered;
+    for (SpatialGrid::RangeAnswer& p : partials) {
+      gathered.sample.insert(gathered.sample.end(), p.sample.begin(),
+                             p.sample.end());
+    }
+    return gathered;
   }
-  result.sample = DatasetView(table_, std::move(gathered));
-  finish();
-  return response;
+  // All slices present: compose under the θ ladder. Re-sampling (when
+  // the ladder rejects the union) draws from the ascending union of
+  // every shard's matching rows — the exact vector a single-instance
+  // scan produces, so re-drawn samples are K-invariant.
+  auto gather_raw = [&]() -> Result<std::vector<RowId>> {
+    std::vector<RowId> raw;
+    for (const auto& part : parts_) {
+      TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
+                              part->grid_.GatherRangeRows(ctx, box));
+      raw.insert(raw.end(), rows.begin(), rows.end());
+    }
+    std::sort(raw.begin(), raw.end());
+    return raw;
+  };
+  return SpatialGrid::ComposePartials(ctx, std::move(partials), gather_raw);
+}
+
+Result<std::vector<RowId>> ShardedTabula::GatherGridRows(
+    const SpatialGrid::Context& ctx, const SpatialGrid::ResolvedBBox& box,
+    TabulaQueryResult* result) const {
+  // The ascending union of the shards' bbox rows equals the
+  // single-instance row set, so exact answers and query-time re-samples
+  // are K-invariant byte for byte.
+  std::vector<RowId> rows;
+  FanOut(result, [&](size_t s) -> Status {
+    TABULA_ASSIGN_OR_RETURN(std::vector<RowId> shard_rows,
+                            parts_[s]->grid_.GatherRangeRows(ctx, box));
+    rows.insert(rows.end(), shard_rows.begin(), shard_rows.end());
+    return Status::OK();
+  });
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 std::vector<size_t> ShardedTabula::ReplicaOrder(size_t shard) const {
@@ -252,10 +243,7 @@ Status ShardedTabula::ProbeReplicas(size_t shard) const {
     int64_t next = prev == 0 ? nanos : (prev * 4 + nanos) / 5;
     replica.ewma_nanos.store(next, std::memory_order_relaxed);
     if (replicas_per_shard() > 1) {
-      metrics_
-          .histogram("shard" + std::to_string(shard) + "_replica" +
-                     std::to_string(j) + "_latency")
-          .RecordMillis(probe_timer.ElapsedMillis());
+      replica.latency->RecordMillis(probe_timer.ElapsedMillis());
       if (probed_any) metrics_.counter("replica_failovers").Increment();
     }
     return Status::OK();
@@ -269,35 +257,29 @@ Status ShardedTabula::ProbeReplicas(size_t shard) const {
       " replicas failed; last error: " + last_error.message());
 }
 
-Status ShardedTabula::QueryShardReplicas(size_t shard, uint64_t key,
-                                         uint64_t query_span,
-                                         std::vector<RowId>* gathered,
-                                         TabulaQueryResult* result) const {
-  TABULA_RETURN_NOT_OK(ProbeReplicas(shard));
-  // Replicas share the shard's partition, so which replica answers never
-  // changes the bytes of the answer — only who paid the latency
-  // (tracked by the probe's EWMA).
+void ShardedTabula::ServeSlice(size_t shard, uint64_t key,
+                               uint64_t query_span,
+                               std::vector<RowId>* gathered,
+                               TabulaQueryResult* result) const {
   const Tabula& part = *parts_[shard];
   const IcebergCell* local = part.cube_.Find(key);
-  if (local == nullptr) return Status::OK();
+  if (local == nullptr) return;
   if (!store_enabled()) {
     const auto& sample = part.samples_.sample(local->sample_id);
     gathered->insert(gathered->end(), sample.begin(), sample.end());
-    return Status::OK();
+    return;
   }
   // The partition's store path: hit accounting, lazy promote of a cold
   // slice (with a `store.promote` span under this query's span), and
-  // degrade on a failed promote — the caller then serves the global
-  // sample for the whole answer, never the evicted bytes.
+  // degrade on a failed promote.
   TabulaQueryResult slice;
-  part.ServeStoredSample(key, query_span, &slice);
+  part.ServeCell(key, query_span, &slice);
   if (slice.store_degraded) {
     result->store_degraded = true;
-    return Status::OK();
+    return;
   }
   const RowId* rows = slice.sample.raw_rows();
   gathered->insert(gathered->end(), rows, rows + slice.sample.size());
-  return Status::OK();
 }
 
 }  // namespace tabula

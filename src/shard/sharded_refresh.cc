@@ -2,13 +2,13 @@
 /// streaming-ingestion protocol (see QueryEngine): PlanIngest routes
 /// appended rows to their owning shards (hash of the row id, or the
 /// smallest shard under range partitioning) and computes the dirty cell
-/// set; BeginIngest publishes that set for per-cell staleness tagging;
-/// ExecuteIngest rebuilds ONLY the touched shards into staged partitions
-/// and re-runs the merge + θ re-verification pass over the mix of
-/// staged and untouched shards; CommitIngest adopts the staged
-/// partitions and merged directory. Refresh() composes the phases
-/// back-to-back and keeps the single-instance contract: every fallible
-/// step is staged, so a failed cycle (including an injected
+/// set, which BeginIngest (CubeEngine) publishes for per-cell staleness
+/// tagging; ExecuteIngest rebuilds ONLY the touched shards into staged
+/// partitions and re-runs the merge + θ re-verification pass over the
+/// mix of staged and untouched shards; CommitIngest adopts the staged
+/// partitions and merged directory. CubeEngine::Refresh() composes the
+/// phases back-to-back and keeps the single-instance contract: every
+/// fallible step is staged, so a failed cycle (including an injected
 /// `shard.build` fault) leaves the instance answering queries exactly
 /// as before, generation unchanged.
 
@@ -150,16 +150,6 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
   return std::unique_ptr<IngestPlan>(std::move(owned));
 }
 
-void ShardedTabula::BeginIngest(IngestPlan* plan) {
-  auto* p = static_cast<IngestPlanState*>(plan);
-  if (p->no_op) return;
-  // Replace, not merge: a re-plan after a failed cycle recomputes a
-  // superset of any earlier dirty set (refreshed_rows_ only moves at
-  // commit). A full rebuild publishes an empty set — coarse staleness.
-  pending_dirty_.clear();
-  for (uint64_t key : p->dirty_keys) pending_dirty_.Insert(key);
-}
-
 Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
   auto* p = static_cast<IngestPlanState*>(plan);
   if (p->no_op) return Status::OK();
@@ -256,10 +246,8 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     override_store_ = std::move(fresh.override_store_);
     stats_ = std::move(fresh.stats_);
     refreshed_rows_ = fresh.refreshed_rows_;
-    pending_dirty_.clear();
-    ++generation_;
     if (stats != nullptr) *stats = p->stats;
-    NotifyRefreshListeners();
+    PublishCommit();
     return Status::OK();
   }
   if (!p->executed) {
@@ -301,24 +289,17 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     TABULA_CHECK(AssignOverrideTiers().ok());
   }
   refreshed_rows_ = p->target_rows;
-  pending_dirty_.clear();
-  ++generation_;
   if (stats != nullptr) *stats = p->stats;
-  NotifyRefreshListeners();
+  PublishCommit();
   return Status::OK();
 }
 
-Status ShardedTabula::Refresh(RefreshStats* stats) {
-  // The single-instance composition; each cycle's shard builds parent
-  // under its refresh span.
-  return Tabula::RunRefresh(
-      this, options_.base.tracer, stats, [this](IngestPlan* plan, Span* span) {
-        auto* p = static_cast<IngestPlanState*>(plan);
-        p->parent_span = span->id();
-        span->SetAttribute("touched_shards", p->full_rebuild
-                                                 ? options_.num_shards
-                                                 : p->touched.size());
-      });
+void ShardedTabula::OnRefreshPlan(IngestPlan* plan, Span* span) {
+  // Each cycle's shard builds parent under its refresh span.
+  auto* p = static_cast<IngestPlanState*>(plan);
+  p->parent_span = span->id();
+  span->SetAttribute("touched_shards",
+                     p->full_rebuild ? options_.num_shards : p->touched.size());
 }
 
 }  // namespace tabula

@@ -1,10 +1,11 @@
 /// \file
 /// Tiered-sample-store integration of the sharded engine (DESIGN.md
 /// §12): the global byte budget splits over K partition stores plus the
-/// coordinator's override store. Each partition is a Tabula whose own
-/// store enforces its slice — CLOCK demotion, lazy promote-on-miss
-/// through ServeStoredSample — so this file holds only the override
-/// store and the K > 1 rules: drop mode only (cold shard samples
+/// coordinator's override store. Every store serves through
+/// CubeEngine::ServeStoredSample — CLOCK demotion, lazy promote-on-miss
+/// with a `store.promote` span — each partition's with Tabula's
+/// restore, the override store's with the one here. This file holds the
+/// override store and the K > 1 rules: drop mode only (cold shard samples
 /// re-derive deterministically from the partition's rows, so a spill
 /// side file buys nothing and `spill_path` is rejected) and no hot
 /// upgrades (the scatter-gather answer is a union of slices; tightening
@@ -12,14 +13,12 @@
 /// is inert when `base.store.budget_bytes == 0`.
 
 #include <algorithm>
-#include <mutex>
 #include <shared_mutex>
 #include <utility>
 #include <vector>
 
 #include "sampling/greedy_sampler.h"
 #include "shard/sharded_tabula.h"
-#include "testing/fault_injection.h"
 
 namespace tabula {
 
@@ -63,20 +62,19 @@ Status ShardedTabula::AssignOverrideTiers() {
   merged_.ForEach([&](uint64_t, const MergedCell& cell) {
     if (cell.has_override) ++refs[cell.override_id];
   });
-  const uint64_t tuple_bytes = parts_.front()->BytesPerTuple();
+  const uint64_t tuple_bytes = BytesPerTuple();
   for (uint32_t id = 0; id < override_samples_.size(); ++id) {
     if (override_store_.tracked(id)) continue;  // Load() adopted it
     override_store_.Track(id, override_samples_.sample(id).size() * tuple_bytes,
                           SampleTier::kWarm, refs[id]);
   }
-  Tabula::EnforceStoreBudgetLocked(&override_store_, &override_samples_);
+  EnforceStoreBudgetLocked(&override_store_, &override_samples_);
   return Status::OK();
 }
 
-Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
-                                            const MergedCell& cell,
-                                            std::vector<RowId>* out) const {
-  TABULA_FAULT_POINT("store.promote");
+Status ShardedTabula::RestoreColdLocked(uint64_t key, uint32_t,
+                                        std::vector<RowId>* sample,
+                                        SampleTier* tier) const {
   // The merge drew this override from the union of the cell's shard
   // slices, sorted ascending (shard slices are disjoint row sets, so
   // the sort restores the exact full-table gather). Reproduce it from
@@ -84,7 +82,7 @@ Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
   // (GatherCellRows' only failure) contributes nothing.
   IcebergCell probe;
   probe.key = key;
-  probe.cuboid = cell.cuboid;
+  probe.cuboid = merged_.Find(key)->cuboid;
   std::vector<RowId> rows;
   for (const auto& part : parts_) {
     std::vector<RowId> slice;
@@ -100,23 +98,8 @@ Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
   sampler_opts.seed = options_.base.seed;
   GreedySampler sampler(options_.base.effective_loss(),
                         options_.base.threshold, sampler_opts);
-  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                          sampler.Sample(DatasetView(table_, rows)));
-  out->insert(out->end(), sample.begin(), sample.end());
-
-  const uint32_t id = cell.override_id;
-  const uint64_t bytes = sample.size() * parts_.front()->BytesPerTuple();
-  Tabula::EnforceStoreBudgetLocked(&override_store_, &override_samples_,
-                                   bytes, id);
-  if (override_store_.bytes() + bytes > override_store_.budget()) {
-    // The sample alone cannot fit the override slice: served, not
-    // retained.
-    override_store_.CountPromote();
-    return Status::OK();
-  }
-  override_samples_.SetSample(id, std::move(sample));
-  override_store_.MarkResident(id, bytes, SampleTier::kWarm);
-  override_store_.CountPromote();
+  TABULA_ASSIGN_OR_RETURN(*sample, sampler.Sample(DatasetView(table_, rows)));
+  *tier = SampleTier::kWarm;
   return Status::OK();
 }
 

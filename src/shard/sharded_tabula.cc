@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -42,9 +43,21 @@ size_t ShardedTabula::replicas_per_shard() const {
 }
 
 void ShardedTabula::InitReplicas() {
+  const size_t r = replicas_per_shard();
   replicas_.clear();
-  const size_t total = parts_.size() * replicas_per_shard();
-  for (size_t i = 0; i < total; ++i) replicas_.emplace_back();
+  shard_latency_.clear();
+  for (size_t s = 0; s < parts_.size(); ++s) {
+    const std::string shard = "shard" + std::to_string(s);
+    shard_latency_.push_back(&metrics_.histogram(shard + "_query_latency"));
+    for (size_t j = 0; j < r; ++j) {
+      Replica& replica = replicas_.emplace_back();
+      if (r > 1) {
+        replica.latency = &metrics_.histogram(shard + "_replica" +
+                                              std::to_string(j) + "_latency");
+      }
+    }
+  }
+  fanout_latency_ = &metrics_.histogram("shard_fanout_latency");
 }
 
 Status ShardedTabula::SetReplicaDown(size_t shard, size_t replica,
@@ -463,26 +476,6 @@ const std::vector<RowId>& ShardedTabula::shard_rows(size_t i) const {
 const CubeTable& ShardedTabula::shard_cube(size_t i) const {
   TABULA_CHECK(i < parts_.size());
   return parts_[i]->cube_;
-}
-
-uint64_t ShardedTabula::AddRefreshListener(std::function<void()> listener) {
-  uint64_t id = next_listener_id_++;
-  refresh_listeners_.emplace_back(id, std::move(listener));
-  return id;
-}
-
-void ShardedTabula::RemoveRefreshListener(uint64_t id) {
-  for (auto it = refresh_listeners_.begin(); it != refresh_listeners_.end();
-       ++it) {
-    if (it->first == id) {
-      refresh_listeners_.erase(it);
-      return;
-    }
-  }
-}
-
-void ShardedTabula::NotifyRefreshListeners() {
-  for (auto& [id, listener] : refresh_listeners_) listener();
 }
 
 size_t ShardedTabula::ShardForNewRow(RowId row,

@@ -4,13 +4,12 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "common/flat_hash.h"
 #include "common/status.h"
-#include "core/query_engine.h"
+#include "core/cube_engine.h"
 #include "core/tabula.h"
 #include "cube/cube_table.h"
 #include "cube/lattice.h"
@@ -116,14 +115,13 @@ struct ShardedInitStats {
 /// and the θ bound is voided — the request still succeeds.
 ///
 /// Thread-safety matches Tabula: Query() is const ⇒ concurrent-safe;
-/// Refresh()/Save()/Load() require external serialization.
-class ShardedTabula : public QueryEngine {
+/// Refresh()/Save()/Load() require external serialization. Request
+/// handling and the refresh bookkeeping come from CubeEngine; this class
+/// supplies the merged-directory lookup and the scatter-gather fan-out.
+class ShardedTabula : public CubeEngine {
  public:
   static Result<std::unique_ptr<ShardedTabula>> Initialize(
       const Table& table, ShardedTabulaOptions options);
-
-  Result<QueryResponse> Query(const QueryRequest& request) const override;
-  Status Refresh(RefreshStats* stats = nullptr) override;
 
   /// \brief Streaming-maintenance phases (see QueryEngine). Refresh()
   /// composes them. PlanIngest routes the pending rows to their owning
@@ -136,13 +134,9 @@ class ShardedTabula : public QueryEngine {
   /// present set), so they may run under a shared lock while queries
   /// serve.
   Result<std::unique_ptr<IngestPlan>> PlanIngest() override;
-  void BeginIngest(IngestPlan* plan) override;
   Status ExecuteIngest(IngestPlan* plan) override;
   Status CommitIngest(std::unique_ptr<IngestPlan> plan,
                       RefreshStats* stats = nullptr) override;
-  size_t PendingIngestRows() const override {
-    return table_->num_rows() - refreshed_rows_;
-  }
 
   /// Persists the shard manifest: partition + per-shard row lists with
   /// fingerprints, per-shard cubes and sample tables, and the merged
@@ -163,12 +157,6 @@ class ShardedTabula : public QueryEngine {
   static Result<std::unique_ptr<ShardedTabula>> Load(
       const Table& table, ShardedTabulaOptions options,
       const std::string& path, bool resume_partial = false);
-
-  uint64_t generation() const override { return generation_; }
-  uint64_t AddRefreshListener(std::function<void()> listener) override;
-  void RemoveRefreshListener(uint64_t id) override;
-  const DatasetView& global_sample() const override { return global_sample_; }
-  const Table& base_table() const override { return *table_; }
 
   size_t num_shards() const { return options_.num_shards; }
   const ShardedTabulaOptions& options() const { return options_; }
@@ -256,12 +244,41 @@ class ShardedTabula : public QueryEngine {
     /// drives the probe order so a consistently slow replica is routed
     /// around.
     std::atomic<int64_t> ewma_nanos{0};
+    /// `shard<i>_replica<j>_latency` (R > 1 only; null at R = 1).
+    LatencyHistogram* latency = nullptr;
   };
+
+  Tracer* tracer() const override { return options_.base.tracer; }
+  /// The merged directory: absent → the global sample; an override →
+  /// the re-drawn sample (store-served); else the fan-out union.
+  void ServeCell(uint64_t key, uint64_t query_span,
+                 TabulaQueryResult* result) const override;
+  const SpatialGrid& range_grid() const override { return parts_[0]->grid_; }
+  SpatialGrid::Context SpatialContext() const override;
+  /// Scatter-gather bbox path: per-shard grid partials composed with
+  /// the same θ ladder as the merge (pure), or the shards' bbox rows
+  /// (hybrid).
+  Result<SpatialGrid::RangeAnswer> QueryGrid(
+      const SpatialGrid::Context& ctx, const SpatialGrid::ResolvedBBox& box,
+      TabulaQueryResult* result) const override;
+  Result<std::vector<RowId>> GatherGridRows(
+      const SpatialGrid::Context& ctx, const SpatialGrid::ResolvedBBox& box,
+      TabulaQueryResult* result) const override;
+  /// Restores a cold override sample: cross-shard gather, ascending
+  /// sort, re-sample — the merge-time draw reproduced (always kWarm).
+  Status RestoreColdLocked(uint64_t key, uint32_t id,
+                           std::vector<RowId>* sample,
+                           SampleTier* tier) const override;
+  void AnnotateQuerySpan(const TabulaQueryResult& result,
+                         Span* span) const override;
+  /// Parents the cycle's shard builds under the refresh span.
+  void OnRefreshPlan(IngestPlan* plan, Span* span) override;
 
   Status InitializeSharded(const Table& table);
 
-  /// Sizes `replicas_` to K * R (called after the partitions exist, from
-  /// both the build and the Load path).
+  /// Sizes `replicas_` to K * R and resolves the fan-out latency
+  /// histograms once (called after the partitions exist, from both the
+  /// build and the Load path).
   void InitReplicas();
 
   Replica& replica_state(size_t shard, size_t replica) const {
@@ -281,23 +298,24 @@ class ShardedTabula : public QueryEngine {
   /// reads the shard state directly — the bytes are replica-invariant.
   Status ProbeReplicas(size_t shard) const;
 
-  /// Serves shard `shard`'s slice of cell `key` from its first healthy
-  /// replica, appending sample rows to `gathered` (replicas share the
-  /// partition, so the appended rows are replica-invariant). Fails only
-  /// when every replica is down or faulted. With the tiered store
-  /// enabled, a cold slice lazily promotes through the partition's
-  /// store; a promote failure sets `result->store_degraded` instead of
-  /// failing (the caller degrades the whole answer to the global sample
-  /// — the evicted bytes are never served).
-  Status QueryShardReplicas(size_t shard, uint64_t key, uint64_t query_span,
-                            std::vector<RowId>* gathered,
-                            TabulaQueryResult* result) const;
+  /// One scatter-gather pass: per shard, the legacy whole-group
+  /// `shard.query` seam, replica failover (ProbeReplicas), then
+  /// `serve(s)`. A failure lands the shard in `unavailable_shards` /
+  /// `shard_error` instead of failing the request. Records the per-shard
+  /// and fan-out latencies; true (and one `shard_degraded_answers`) when
+  /// some shard was unavailable.
+  template <typename Serve>
+  bool FanOut(TabulaQueryResult* result, Serve&& serve) const;
 
-  /// Scatter-gather bbox path (defined in sharded_spatial.cc): per-shard
-  /// grid partials composed with the same θ ladder as the merge, a
-  /// failed shard degrading the answer to include the global sample.
-  Status QueryRange(const QueryRequest& request, bool has_pending,
-                    TabulaQueryResult* result) const;
+  /// Appends partition `shard`'s slice of cell `key` to `gathered`
+  /// (replicas share the partition, so the rows are replica-invariant).
+  /// With the tiered store enabled a cold slice lazily promotes through
+  /// the partition's store; a failed promote sets
+  /// `result->store_degraded` (the caller then serves the global sample
+  /// for the whole answer — the evicted bytes are never served).
+  void ServeSlice(size_t shard, uint64_t key, uint64_t query_span,
+                  std::vector<RowId>* gathered,
+                  TabulaQueryResult* result) const;
 
   /// Partition options for one shard: selection off, the shard's slice
   /// of the store budget, and no hot upgrades (the union bound was
@@ -338,24 +356,11 @@ class ShardedTabula : public QueryEngine {
   /// at kWarm (preserving tiers Load() adopted), then enforces its
   /// budget. Each partition's store is its own (Tabula's tiers).
   Status AssignOverrideTiers();
-  /// Restores a cold override sample (cross-shard gather, ascending
-  /// sort, re-sample — the merge-time draw reproduced) and appends the
-  /// restored rows to `out`. Caller holds store_mu_ exclusively.
-  Status PromoteOverrideLocked(uint64_t key, const MergedCell& cell,
-                               std::vector<RowId>* out) const;
-
-  void NotifyRefreshListeners();
-
-  const Table* table_ = nullptr;
   ShardedTabulaOptions options_;
 
-  KeyEncoder encoder_;
-  KeyPacker packer_;
   /// Placeholder size until Initialize/Load set the real lattice
   /// (Lattice rejects zero attributes).
   Lattice lattice_{1};
-  std::vector<RowId> global_sample_rows_;
-  DatasetView global_sample_;
   /// One partition per shard, each a Tabula over the shard's ascending
   /// row list with its own tiered store (the shard's budget slice).
   std::vector<std::unique_ptr<Tabula>> parts_;
@@ -368,25 +373,15 @@ class ShardedTabula : public QueryEngine {
   /// override samples in place under store_mu_'s exclusive section.
   mutable SampleTable override_samples_;
   /// The coordinator's store for override samples, guarded by
-  /// store_mu_ (each partition guards its own store). Heap-allocated
-  /// lock: the engine must stay movable. See Tabula::store_mu_ for the
-  /// shared/exclusive protocol.
+  /// store_mu_ (each partition guards its own store).
   mutable SampleStore override_store_;
-  mutable std::unique_ptr<std::shared_mutex> store_mu_ =
-      std::make_unique<std::shared_mutex>();
   ShardedInitStats stats_;
-  size_t refreshed_rows_ = 0;
-  /// Cells the in-flight ingest cycle will change (packed keys across
-  /// all cuboids), published by BeginIngest, cleared by CommitIngest;
-  /// Query() probes it for per-cell staleness tagging (empty while rows
-  /// pend ⇒ conservatively stale everywhere).
-  FlatHashSet pending_dirty_;
 
   mutable MetricsRegistry metrics_;
-
-  uint64_t generation_ = 0;
-  uint64_t next_listener_id_ = 1;
-  std::vector<std::pair<uint64_t, std::function<void()>>> refresh_listeners_;
+  /// `shard<i>_query_latency` per shard and `shard_fanout_latency`,
+  /// resolved by InitReplicas (registry entries never move).
+  std::vector<LatencyHistogram*> shard_latency_;
+  LatencyHistogram* fanout_latency_ = nullptr;
 };
 
 }  // namespace tabula

@@ -255,7 +255,7 @@ TEST(RealRunTest, MaterializesSamplesForAllIcebergCells) {
   ASSERT_TRUE(dry.ok());
   GreedySamplerOptions opts;
   auto real = RunRealRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
-                         fx.lattice, *dry, loss, theta, opts);
+                         *dry, loss, theta, opts);
   ASSERT_TRUE(real.ok());
   EXPECT_EQ(real->cube.size(), dry->total_iceberg_cells);
   for (const auto& cell : real->cube.cells()) {
@@ -276,7 +276,7 @@ TEST(RealRunTest, SkipsNonIcebergCuboids) {
   ASSERT_TRUE(dry.ok());
   GreedySamplerOptions opts;
   auto real = RunRealRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
-                         fx.lattice, *dry, loss, 0.10, opts);
+                         *dry, loss, 0.10, opts);
   ASSERT_TRUE(real.ok());
   size_t iceberg_cuboids = 0;
   for (const auto& info : dry->cuboids) {
@@ -293,7 +293,7 @@ TEST(RealRunTest, CellRawRowsMatchPartition) {
   ASSERT_TRUE(dry.ok());
   GreedySamplerOptions opts;
   auto real = RunRealRun(DatasetView(fx.table.get()), fx.encoder, fx.packer,
-                         fx.lattice, *dry, loss, 0.05, opts);
+                         *dry, loss, 0.05, opts);
   ASSERT_TRUE(real.ok());
   for (const auto& cell : real->cube.cells()) {
     // Recompute the cell's member rows directly.

@@ -148,8 +148,8 @@ BuildBytes BuildHeatmap(const Table& table, size_t max_candidates) {
   EXPECT_TRUE(dry.ok()) << dry.status().ToString();
   GreedySamplerOptions opts;
   opts.max_candidates = max_candidates;
-  auto real = RunRealRun(DatasetView(&table), *enc, *packer, lattice, *dry,
-                         *loss, theta, opts);
+  auto real = RunRealRun(DatasetView(&table), *enc, *packer, *dry, *loss,
+                         theta, opts);
   EXPECT_TRUE(real.ok()) << real.status().ToString();
   for (const IcebergCell& cell : real->cube.cells()) {
     out.keys.push_back(cell.key);

@@ -159,8 +159,8 @@ CubeTable BuildCube(const Table& table, const LossFunction& loss,
                        DatasetView(&table, global_rows), theta);
   EXPECT_TRUE(dry.ok()) << dry.status().ToString();
   GreedySamplerOptions opts;
-  auto real = RunRealRun(DatasetView(&table), *enc, *packer, lattice, *dry,
-                         loss, theta, opts);
+  auto real = RunRealRun(DatasetView(&table), *enc, *packer, *dry, loss,
+                         theta, opts);
   EXPECT_TRUE(real.ok()) << real.status().ToString();
   return std::move(real->cube);
 }

@@ -33,6 +33,7 @@
 #include "storage/predicate.h"
 #include "storage/table.h"
 #include "testing/legacy_dry_run.h"
+#include "testing/reference_real_run.h"
 
 namespace tabula {
 namespace {
@@ -435,7 +436,7 @@ struct CubeBytes {
   }
 };
 
-CubeBytes BuildCube(const Table& table, RealRunEngine engine,
+CubeBytes BuildCube(const Table& table, bool scalar_reference,
                     uint64_t sample_seed) {
   CubeBytes out;
   auto enc = KeyEncoder::Make(table, {"g1", "g2"});
@@ -456,8 +457,11 @@ CubeBytes BuildCube(const Table& table, RealRunEngine engine,
   for (const auto& info : dry->cuboids) out.iceberg_keys.push_back(info.iceberg_keys);
 
   GreedySamplerOptions opts;
-  auto real = RunRealRun(DatasetView(&table), *enc, *packer, lattice, *dry,
-                         loss, 0.05, opts, RealRunPathPolicy::kAuto, engine);
+  auto real = scalar_reference
+                  ? RunRealRunScalarReference(DatasetView(&table), *enc,
+                                              *packer, *dry, loss, 0.05, opts)
+                  : RunRealRun(DatasetView(&table), *enc, *packer, *dry, loss,
+                               0.05, opts);
   EXPECT_TRUE(real.ok()) << real.status().ToString();
   for (const auto& cell : real->cube.cells()) {
     out.cell_keys.push_back(cell.key);
@@ -479,17 +483,15 @@ TEST(CubeDeterminismTest, ByteIdenticalAcrossPoolWidthsAndEnginesAtEdgeSizes) {
     CubeBytes reference;
     {
       PoolOverride o(1);
-      reference = BuildCube(*table, RealRunEngine::kVectorized, 9);
+      reference = BuildCube(*table, /*scalar_reference=*/false, 9);
     }
     for (size_t threads : {size_t{1}, size_t{8}}) {
-      for (RealRunEngine engine :
-           {RealRunEngine::kVectorized, RealRunEngine::kScalarReference}) {
+      for (bool scalar_reference : {false, true}) {
         PoolOverride o(threads);
-        CubeBytes got = BuildCube(*table, engine, 9);
+        CubeBytes got = BuildCube(*table, scalar_reference, 9);
         EXPECT_TRUE(got == reference)
             << "n=" << n << " threads=" << threads << " engine="
-            << (engine == RealRunEngine::kVectorized ? "vectorized"
-                                                     : "scalar");
+            << (scalar_reference ? "scalar" : "vectorized");
       }
     }
   }

@@ -287,7 +287,7 @@ TEST(CubeDifferential, RealRunSamplesMatchOracleOnBothCostPaths) {
                                            RealRunPathPolicy::kAlwaysGroupBy};
     for (int p = 0; p < 2; ++p) {
       auto real = RunRealRun(DatasetView(f.table.get()), f.encoder, f.packer,
-                             f.lattice, dry.value(), loss, theta, sampler_opts,
+                             dry.value(), loss, theta, sampler_opts,
                              policies[p]);
       ASSERT_TRUE(real.ok()) << real.status().ToString();
       runs[p] = std::move(real).value();

@@ -59,8 +59,8 @@ struct SelFixture {
                          loss, DatasetView(table.get(), global_rows), theta);
     EXPECT_TRUE(dry.ok());
     GreedySamplerOptions opts;
-    auto real = RunRealRun(DatasetView(table.get()), encoder, packer, lattice,
-                           *dry, loss, theta, opts);
+    auto real = RunRealRun(DatasetView(table.get()), encoder, packer, *dry,
+                           loss, theta, opts);
     EXPECT_TRUE(real.ok());
     cube = std::move(real->cube);
     EXPECT_GT(cube.size(), 2u);

@@ -733,6 +733,86 @@ TEST(StoreDiff, ShardedColdPromoteRecordsStoreSpanUnderQuery) {
   EXPECT_GT(promote_spans, 0u);
 }
 
+/// An override sample (a cell whose shard union violated θ at merge
+/// time) that starts cold promotes through the same store path as a
+/// partition's slice: each promote is a `store.promote` span parented
+/// under the `tabula.query` span that missed, and the promoted answers
+/// equal the unbounded engine's.
+TEST(StoreDiff, ShardedColdOverridePromoteRecordsStoreSpanUnderQuery) {
+  const uint64_t seed = 11;
+  DiffFixture f = MakeFixture(seed, 400);
+  const double theta = MakeTheta(seed);
+  std::shared_ptr<const LossFunction> loss = MakeLoss();
+  auto unbounded = ShardedTabula::Initialize(
+      *f.table, MakeOptions(f, seed, 4, loss, theta, kUnbounded, false));
+  ASSERT_TRUE(unbounded.ok());
+  ASSERT_GT(unbounded.value()->init_stats().resampled_cells, 0u);
+  const uint64_t budget =
+      std::max<uint64_t>(unbounded.value()->StoreBytes() / 8, 6);
+
+  Tracer tracer(TracerOptions{TraceMode::kAll, /*capacity=*/1 << 15});
+  ShardedTabulaOptions options =
+      MakeOptions(f, seed, 4, loss, theta, budget, false);
+  options.base.tracer = &tracer;
+  auto engine = ShardedTabula::Initialize(*f.table, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  // Every cell of the cube: each attribute at one of its values or '*'.
+  std::vector<std::vector<PredicateTerm>> cells = {{}};
+  for (const std::string& attr : f.attrs) {
+    const Column* column = f.table->ColumnByName(attr).value();
+    std::vector<Value> values;
+    for (size_t r = 0; r < f.table->num_rows(); ++r) {
+      Value v = column->GetValue(r);
+      if (std::find(values.begin(), values.end(), v) == values.end()) {
+        values.push_back(v);
+      }
+    }
+    std::vector<std::vector<PredicateTerm>> grown;
+    for (const auto& where : cells) {
+      grown.push_back(where);
+      for (const Value& v : values) {
+        grown.push_back(where);
+        grown.back().push_back({attr, CompareOp::kEq, v});
+      }
+    }
+    cells = std::move(grown);
+  }
+  for (const auto& where : cells) {
+    auto want = unbounded.value()->Query(QueryRequest(where));
+    auto got = engine.value()->Query(QueryRequest(where));
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_FALSE(got.value().result.store_degraded);
+    EXPECT_EQ(got.value().result.sample.ToRowIds(),
+              want.value().result.sample.ToRowIds());
+  }
+
+  // An override answer is served without a fan-out, so a promote whose
+  // query span has no `shard.query.fanout` child restored an override.
+  const std::vector<SpanRecord> spans = tracer.Snapshot();
+  auto span_by_id = [&](uint64_t id) {
+    return std::find_if(spans.begin(), spans.end(),
+                        [&](const SpanRecord& s) { return s.span_id == id; });
+  };
+  size_t promote_spans = 0, override_promote_spans = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name != "store.promote") continue;
+    ++promote_spans;
+    auto parent = span_by_id(span.parent_id);
+    ASSERT_NE(parent, spans.end());
+    EXPECT_EQ(parent->name, "tabula.query");
+    const bool fanned_out =
+        std::any_of(spans.begin(), spans.end(), [&](const SpanRecord& s) {
+          return s.parent_id == parent->span_id &&
+                 s.name == "shard.query.fanout";
+        });
+    if (!fanned_out) ++override_promote_spans;
+  }
+  EXPECT_GT(override_promote_spans, 0u);
+  const SampleStoreStats stats = engine.value()->StoreStats();
+  EXPECT_EQ(promote_spans, stats.promotes + stats.promote_failures);
+}
+
 /// Compatibility both ways across the format boundary: a pre-store
 /// (budget-unset) file loads into a store-enabled engine as all-kWarm;
 /// a file carrying cold tiers refuses to load store-disabled (the cold
