@@ -177,8 +177,10 @@ inline std::string JsonArray(const std::vector<std::string>& items) {
   return out;
 }
 
-/// Writes `BENCH_<name>.json`; returns false (with a note on stderr)
-/// when the file cannot be created.
+/// Writes `BENCH_<name>.json` into the working directory; returns false
+/// (with a note on stderr) when the file cannot be created. `--smoke`
+/// runs must not call it: from the repository root it would replace the
+/// committed full-size record with a smoke-sized one.
 inline bool WriteBenchJson(const std::string& name,
                            const JsonObject& payload) {
   std::string path = "BENCH_" + name + ".json";

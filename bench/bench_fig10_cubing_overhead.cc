@@ -67,10 +67,11 @@ double SlowestCuboidMillis(const RealRunResult& r) {
 ///    two-op mask transforms per cuboid); both must produce
 ///    byte-identical cubes — raw rows AND samples.
 /// Prints the per-stage breakdown (fold/rollup/finalize, pack/collect/
-/// sample) and writes BENCH_fig10_cubing_overhead.json. Returns the
+/// sample) and, unless `smoke`, writes BENCH_fig10_cubing_overhead.json
+/// (a smoke run leaves the committed record alone). Returns the
 /// combined (legacy dry + scalar real) / (new dry + vectorized real)
 /// wall-clock speedup — 0 on error or any differential mismatch.
-double CompareBuildEngines(const Table& table, double theta) {
+double CompareBuildEngines(const Table& table, double theta, bool smoke) {
   // All 7 experiment attributes: the lattice then has 128 cuboids and
   // ~30K cells, the regime the flat-hash engine targets (insert-heavy
   // folds and roll-ups where std::unordered_map pays a node allocation
@@ -238,7 +239,7 @@ double CompareBuildEngines(const Table& table, double theta) {
       .Set("combined_speedup", combined_speedup)
       .Set("iceberg_sets_identical", std::string(identical ? "yes" : "no"))
       .Set("cubes_identical", std::string(cubes_identical ? "yes" : "no"));
-  WriteBenchJson("fig10_cubing_overhead", payload);
+  if (!smoke) WriteBenchJson("fig10_cubing_overhead", payload);
 
   return identical && cubes_identical ? combined_speedup : 0.0;
 }
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
   // regression (speedup < 1/1.2 would mean the new engines got slower
   // than the preserved references), on an iceberg-set mismatch, or on a
   // real-run cube byte mismatch.
-  double speedup = CompareBuildEngines(*table, 0.5);
+  double speedup = CompareBuildEngines(*table, 0.5, smoke);
   if (smoke) {
     if (speedup <= 0.0) {
       std::printf("SMOKE FAIL: engines disagree or errored\n");

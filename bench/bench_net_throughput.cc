@@ -19,7 +19,7 @@
 ///              to in-process, hedging cuts the fat-tail p99 by >=30%,
 ///              replica kill degrades nothing
 ///
-/// Writes BENCH_net.json with the headline numbers.
+/// Writes BENCH_net.json with the headline numbers (not under --smoke).
 
 #include <algorithm>
 #include <cstring>
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
            static_cast<double>(degraded_after_kill))
       .Set("answer_mismatches",
            static_cast<double>(mismatches + kill_mismatches));
-  WriteBenchJson("net", payload);
+  if (!smoke) WriteBenchJson("net", payload);
 
   net_server.Stop();
 

@@ -181,9 +181,9 @@ bool CheckFrameTheta(const Table& table, const Frame& f,
 /// QueryServer over a spatial-enabled cube. Cold pass = first render of
 /// every viewport (cache misses, real grid planning + boundary scans);
 /// warm passes = the user retracing their steps (the canonical-range
-/// cache keys must hit). Writes BENCH_spatial.json; returns non-zero on
-/// any failed answer or θ violation, so CI can gate on `--pan-zoom
-/// --smoke` directly.
+/// cache keys must hit). Writes BENCH_spatial.json (not under --smoke);
+/// returns non-zero on any failed answer or θ violation, so CI can gate
+/// on `--pan-zoom --smoke` directly.
 int RunPanZoomBench(const BenchConfig& config, bool smoke) {
   const Table& table = TaxiTable(config);
   const double kTheta = 0.05;
@@ -301,7 +301,7 @@ int RunPanZoomBench(const BenchConfig& config, bool smoke) {
       .Set("theta_checks", static_cast<double>(theta_checks))
       .Set("theta_violations", static_cast<double>(theta_violations))
       .Set("empty_frames", static_cast<double>(empty_frames));
-  WriteBenchJson("spatial", payload);
+  if (!smoke) WriteBenchJson("spatial", payload);
 
   if (theta_violations > 0) {
     std::fprintf(stderr, "PAN-ZOOM GATE FAILED: %zu theta violation(s)\n",

@@ -25,7 +25,8 @@
 ///   TABULA_SCALE   table rows   (default 60000)
 ///   TABULA_SEED    dataset seed (default 7)
 ///
-/// Writes BENCH_shard_scaling.json with the headline numbers.
+/// Writes BENCH_shard_scaling.json with the headline numbers (not under
+/// --smoke).
 
 #include <algorithm>
 #include <cstring>
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
       .Set("partition", std::string("hash"))
       .Set("build_critical_path_speedup_k8_vs_k1", speedup_k8)
       .SetRaw("shards", JsonArray(entries));
-  WriteBenchJson("shard_scaling", payload);
+  if (!smoke) WriteBenchJson("shard_scaling", payload);
 
   if (smoke) {
     if (!cells_equal) {

@@ -23,7 +23,8 @@
 ///   TABULA_SCALE   table rows   (default 60000)
 ///   TABULA_SEED    dataset seed (default 7)
 ///
-/// Writes BENCH_store_budget.json with the Pareto points.
+/// Writes BENCH_store_budget.json with the Pareto points (not under
+/// --smoke).
 
 #include <algorithm>
 #include <cmath>
@@ -339,7 +340,7 @@ int main(int argc, char** argv) {
       .Set("zipf_pool_cells", static_cast<double>(cells.size()))
       .Set("unbounded_bytes", static_cast<double>(full_bytes))
       .SetRaw("points", JsonArray(entries));
-  WriteBenchJson("store_budget", payload);
+  if (!smoke) WriteBenchJson("store_budget", payload);
 
   // ---- Gates (always checked; --smoke only tightens the latency
   // comparison to the in-run 100% point). ----

@@ -36,7 +36,6 @@ int main() {
   options.cubed_attributes = {"payment_type", "rate_code", "pickup_weekday"};
   options.owned_loss = std::move(loss_result).value();
   options.threshold = 0.05;
-  options.keep_maintenance_state = true;
   options.tracer = &tracer;
 
   std::printf("Initializing Tabula (mean loss, theta = 5%%)...\n");

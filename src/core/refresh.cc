@@ -44,7 +44,7 @@ struct CellWork {
 struct TabulaIngestPlan : QueryEngine::IngestPlan {
   KeyEncoder new_encoder;
   /// Finest-cuboid loss states including the pending rows (adopted at
-  /// commit when keep_maintenance_state is set).
+  /// commit).
   FlatHashMap<LossState> staged_finest;
   /// Cells that need verification / (re)sampling in ExecuteIngest.
   FlatHashMap<CellWork> needs_rows;
@@ -79,26 +79,6 @@ struct TabulaIngestPlan : QueryEngine::IngestPlan {
 };
 
 }  // namespace
-
-Status Tabula::BuildMaintenanceState() {
-  if (maintenance_bound_ == nullptr) {
-    TABULA_ASSIGN_OR_RETURN(maintenance_bound_,
-                            loss_fn()->Bind(*table_, global_sample_));
-  }
-  finest_states_.clear();
-  DatasetView all(table_);
-  BoundLoss* bound = maintenance_bound_.get();
-  finest_states_ = GroupAccumulate<LossState>(
-      encoder_, packer_, all,
-      [bound](LossState* state, RowId row) { bound->Accumulate(state, row); });
-  finest_rows_.clear();
-  for (size_t r = 0; r < table_->num_rows(); ++r) {
-    finest_rows_[packer_.PackRow(encoder_, static_cast<RowId>(r))].push_back(
-        static_cast<RowId>(r));
-  }
-  finest_rows_indexed_ = table_->num_rows();
-  return Status::OK();
-}
 
 Result<bool> Tabula::RemakeEncoder(const Table& table,
                                    const TabulaOptions& options,
@@ -164,16 +144,38 @@ std::vector<FlatHashMap<LossState>> Tabula::RollUpLattice(
   return maps;
 }
 
-Status Tabula::FoldPartitionStates() {
+Status Tabula::EnsureFinestStates() {
+  // A build keeps its dry run's states and every folded row lands in a
+  // finest cell, so empty states mean a Load (or no rows: a free re-run).
+  if (!finest_states_.empty()) return Status::OK();
+  DatasetView folded = PartitionView();
+  if (!partition_rows_.has_value()) {
+    // A resume_partial load has pending rows past refreshed_rows_.
+    std::vector<RowId> rows(refreshed_rows_);
+    for (size_t r = 0; r < rows.size(); ++r) rows[r] = static_cast<RowId>(r);
+    folded = DatasetView(table_, std::move(rows));
+  }
   Lattice lattice(options_.cubed_attributes.size());
   TABULA_ASSIGN_OR_RETURN(
       DryRunResult dry,
-      RunDryRun(PartitionView(), encoder_, packer_, lattice, *loss_fn(),
+      RunDryRun(folded, encoder_, packer_, lattice, *loss_fn(),
                 global_sample_, options_.threshold,
-                /*keep_lattice=*/true));
+                /*keep_present_cells=*/partition_rows_.has_value()));
   finest_states_ = std::move(dry.finest_states);
   present_cells_ = std::move(dry.present_cells);
   return Status::OK();
+}
+
+void Tabula::ExtendFinestRowIndex(const KeyEncoder& encoder, size_t n) {
+  // A partition's row list is fixed for its lifetime, so it is indexed
+  // once; a whole-table engine extends over the appended prefix.
+  const DatasetView view = PartitionView();
+  const size_t end = partition_rows_.has_value() ? view.size() : n;
+  for (size_t i = finest_rows_indexed_; i < end; ++i) {
+    const RowId r = view.row(i);
+    finest_rows_[packer_.PackRow(encoder, r)].push_back(r);
+  }
+  finest_rows_indexed_ = std::max(finest_rows_indexed_, end);
 }
 
 void Tabula::CollectCellRows(const FlatHashMap<CuboidMask>& cells,
@@ -272,33 +274,16 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
     bound = maintenance_bound_.get();
   }
 
-  // Lazily build the finest-state map when Initialize didn't keep it
-  // (one full accumulation pass; kept for subsequent refreshes). Safe
-  // to persist before the commit point: it only describes rows
-  // [0, n0), which matches refreshed_rows_ whether or not this cycle
-  // completes. The old and new encoders agree on those rows (appends
-  // never re-code existing values; the layout check above passed).
-  if (finest_states_.empty()) {
-    std::vector<RowId> old_rows(n0);
-    for (size_t i = 0; i < n0; ++i) old_rows[i] = static_cast<RowId>(i);
-    DatasetView old_view(table_, std::move(old_rows));
-    finest_states_ = GroupAccumulate<LossState>(
-        plan.new_encoder, packer_, old_view,
-        [bound](LossState* state, RowId row) {
-          bound->Accumulate(state, row);
-        });
-  }
-
-  // Extend the finest-cell row index over the pending rows (and, after
-  // a Load or with keep_maintenance_state off, over the whole table).
-  // Safe before the commit point: the index is a pure function of the
-  // append-only prefix it covers, and layout changes took the
-  // full-rebuild exit above, so old and new encoders agree.
-  for (size_t r = finest_rows_indexed_; r < n1; ++r) {
-    uint64_t key = packer_.PackRow(plan.new_encoder, static_cast<RowId>(r));
-    finest_rows_[key].push_back(static_cast<RowId>(r));
-  }
-  finest_rows_indexed_ = n1;
+  // A loaded engine re-derives the finest states over rows [0, n0)
+  // once; a build kept its dry run's. Safe before the commit point: the
+  // states describe refreshed_rows_ whether or not this cycle completes.
+  TABULA_RETURN_NOT_OK(EnsureFinestStates());
+  // Extend the finest-cell row index over the pending rows (over the
+  // whole table on an engine's first cycle). Safe before the commit
+  // point: the index is a pure function of the append-only prefix it
+  // covers, and layout changes took the full-rebuild exit above, so old
+  // and new encoders agree.
+  ExtendFinestRowIndex(plan.new_encoder, n1);
 
   // 1. Fold the appended rows into a STAGED copy of the finest states
   //    (committed only once all fallible work succeeded).
@@ -611,19 +596,7 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     stats_.spatial_sample_tuples = grid_.SampleTuples();
   }
   refreshed_rows_ = p->target_rows;
-  if (options_.keep_maintenance_state) {
-    finest_states_ = std::move(p->staged_finest);
-  } else {
-    finest_states_.clear();  // rebuilt lazily next time
-    if (!store_enabled()) {
-      // The store's lazy promotes gather through the finest-row index,
-      // so tiered instances keep it across cycles (it is a pure
-      // function of the append-only prefix, already extended to
-      // target_rows by PlanIngest).
-      finest_rows_.clear();
-      finest_rows_indexed_ = 0;
-    }
-  }
+  finest_states_ = std::move(p->staged_finest);
   uint64_t tuple_bytes = BytesPerTuple();
   stats_.cube_table_bytes = cube_.MemoryBytes();
   stats_.sample_table_bytes = samples_.MemoryBytes(tuple_bytes);

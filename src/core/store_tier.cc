@@ -35,26 +35,8 @@ Status Tabula::AssignInitialTiers() {
         "store.hot_theta_factor must be in (0, 1]");
   }
   // Lazy promotes gather cell rows from the finest-row index, so build
-  // it up front (just the index — NOT BuildMaintenanceState, whose
-  // finest_states_ must keep covering exactly [0, refreshed_rows_) for
-  // a resume_partial load). Indexing past refreshed_rows_ is harmless:
-  // GatherCellRows caps at the folded prefix, and PlanIngest's
-  // watermark makes the extension idempotent. A partition's row list is
-  // fixed for its lifetime, so it is indexed once.
-  if (partition_rows_.has_value()) {
-    if (finest_rows_indexed_ == 0) {
-      for (RowId r : *partition_rows_) {
-        finest_rows_[packer_.PackRow(encoder_, r)].push_back(r);
-      }
-      finest_rows_indexed_ = partition_rows_->size();
-    }
-  } else {
-    for (size_t r = finest_rows_indexed_; r < table_->num_rows(); ++r) {
-      finest_rows_[packer_.PackRow(encoder_, static_cast<RowId>(r))]
-          .push_back(static_cast<RowId>(r));
-    }
-    finest_rows_indexed_ = table_->num_rows();
-  }
+  // it up front over the rows the cube has folded.
+  ExtendFinestRowIndex(encoder_, refreshed_rows_);
   // Register every sample at kWarm with its cube refcount (selection
   // shares representative slots across cells).
   std::vector<uint32_t> refs(samples_.size(), 0);

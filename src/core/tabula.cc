@@ -121,15 +121,16 @@ Result<std::unique_ptr<Tabula>> Tabula::BuildPartition(
   const DatasetView view = tabula->PartitionView();
   Lattice lattice(opts.cubed_attributes.size());
 
-  // Stage 1: dry run — iceberg cell lookup via algebraic roll-up. A
-  // partition keeps the fold's finest states and the lattice's present
-  // keys, the coordinator's merge inputs, so its rows fold once.
+  // Stage 1: dry run — iceberg cell lookup via algebraic roll-up. The
+  // engine keeps the fold's finest states as its maintenance state, and
+  // a partition also the lattice's present keys (the coordinator's merge
+  // inputs), so its rows fold once.
   Span dry_span = tracer->StartSpan("tabula.init.dry_run", parent_span);
   TABULA_ASSIGN_OR_RETURN(
       DryRunResult dry,
       RunDryRun(view, tabula->encoder_, tabula->packer_, lattice, *loss,
                 tabula->global_sample_, opts.threshold,
-                /*keep_lattice=*/partition));
+                /*keep_present_cells=*/partition));
   tabula->stats_.total_cells = dry.total_cells;
   tabula->stats_.iceberg_cells = dry.total_iceberg_cells;
   tabula->stats_.iceberg_cuboids = dry.iceberg_cuboids;
@@ -197,12 +198,8 @@ Result<std::unique_ptr<Tabula>> Tabula::BuildPartition(
   }
 
   tabula->refreshed_rows_ = table.num_rows();
-  if (partition) {
-    tabula->finest_states_ = std::move(dry.finest_states);
-    tabula->present_cells_ = std::move(dry.present_cells);
-  } else if (opts.keep_maintenance_state) {
-    TABULA_RETURN_NOT_OK(tabula->BuildMaintenanceState());
-  }
+  tabula->finest_states_ = std::move(dry.finest_states);
+  tabula->present_cells_ = std::move(dry.present_cells);
   return tabula;
 }
 

@@ -57,10 +57,10 @@ struct TabulaOptions {
   /// When false, every local sample is persisted individually — the
   /// paper's Tabula* ablation (Section V, compared approach 6).
   bool enable_sample_selection = true;
-  /// Keep the per-finest-cell loss states after initialization so
-  /// Refresh() (incremental maintenance after appends) avoids one
-  /// full-table accumulation pass. Costs one extra scan at init plus
-  /// O(#finest cells) memory.
+  /// Ignored: every engine keeps its dry run's finest-cell states for
+  /// incremental maintenance. Declared only because
+  /// perfbench/harness/workloads.cc still assigns it; it is removed
+  /// together with that assignment.
   bool keep_maintenance_state = false;
   /// Hierarchical spatial grid for bbox (pan/zoom) queries. Disabled by
   /// default (`spatial.levels == 0`): the engine then behaves bit for
@@ -325,13 +325,13 @@ class Tabula : public CubeEngine {
                                 const TabulaOptions& options);
 
   /// \brief The one cube build (Section III): dry run → real run →
-  /// selection → spatial grid → maintenance state, classified against
-  /// `global_sample_rows` under `encoder`. `rows` is the partition to
-  /// cube (ascending); nullopt cubes every table row. Initialize() is
-  /// this run over all rows with a freshly drawn global sample;
-  /// ShardedTabula runs it once per shard. A partition keeps its
-  /// finest-cuboid states and present-cell set straight from its dry
-  /// run, and its tiers are assigned by the caller. Stage spans parent
+  /// selection → spatial grid, classified against `global_sample_rows`
+  /// under `encoder`. `rows` is the partition to cube (ascending);
+  /// nullopt cubes every table row. Initialize() is this run over all
+  /// rows with a freshly drawn global sample; ShardedTabula runs it once
+  /// per shard. The engine keeps its dry run's finest-cuboid states (a
+  /// partition also its present-cell set) as its maintenance state; a
+  /// partition's tiers are assigned by the caller. Stage spans parent
   /// under `parent_span` in `tracer` (which must be recording).
   static Result<std::unique_ptr<Tabula>> BuildPartition(
       const Table& table, TabulaOptions options, KeyEncoder encoder,
@@ -349,10 +349,6 @@ class Tabula : public CubeEngine {
 
   /// The rows this instance cubes: the partition's list, or every row.
   DatasetView PartitionView() const;
-
-  /// Accumulates the per-finest-cell loss states over rows [0, n) for
-  /// incremental maintenance.
-  Status BuildMaintenanceState();
 
   /// Rolls finest-cuboid states up the whole lattice: one state map per
   /// cuboid (index = CuboidMask). `dirty` (optional, one key set per
@@ -379,9 +375,17 @@ class Tabula : public CubeEngine {
                                              const std::vector<RowId>& prior,
                                              size_t n0, size_t n1);
 
-  /// Re-derives a partition's finest states and present-cell set with a
-  /// dry run over its rows (a loaded partition persists neither).
-  Status FoldPartitionStates();
+  /// The finest states (and a partition's present-cell set) over the
+  /// rows this engine has folded: its partition, or rows
+  /// [0, refreshed_rows_). A build already holds them from its dry run;
+  /// a loaded engine, which persists neither, re-derives them here once
+  /// with a dry run.
+  Status EnsureFinestStates();
+
+  /// Builds or extends the finest-row index: a partition's fixed row
+  /// list once, a whole-table engine's rows up to `n` (encoded under
+  /// `encoder`, which must cover them).
+  void ExtendFinestRowIndex(const KeyEncoder& encoder, size_t n);
 
   /// Rows of this partition in each listed cell (cell key → cuboid),
   /// appended ascending to `out[key]`: one pass over the partition's
@@ -442,15 +446,20 @@ class Tabula : public CubeEngine {
 
   /// Incremental-maintenance state (see Refresh()).
   std::unique_ptr<BoundLoss> maintenance_bound_;
+  /// Loss state of every finest cell over the folded rows. A build keeps
+  /// its dry run's; a loaded engine re-derives them once
+  /// (EnsureFinestStates) on its first ingest cycle. Each commit adopts
+  /// the cycle's staged states.
   FlatHashMap<LossState> finest_states_;
-  /// Row ids of every finest cell over rows [0, finest_rows_indexed_),
-  /// each list ascending. Lets ingest cycles gather any cell's raw rows
-  /// without a table scan — a coarser cell's rows are the union of its
-  /// finest descendants'. Maintenance-only and extended in place during
-  /// PlanIngest: a pure function of the (append-only) table prefix it
-  /// covers, so it stays valid across abandoned cycles; the watermark
-  /// makes re-indexing idempotent. Costs one RowId per indexed row —
-  /// the same trade keep_maintenance_state already opts into.
+  /// Row ids of every finest cell over view positions
+  /// [0, finest_rows_indexed_), each list ascending. Lets ingest cycles
+  /// and lazy promotes gather any cell's raw rows without a table scan —
+  /// a coarser cell's rows are the union of its finest descendants'.
+  /// Built on first need (the first PlanIngest, or the store being
+  /// enabled) by ExtendFinestRowIndex and kept across cycles: a pure
+  /// function of the (append-only) table prefix it covers, so it stays
+  /// valid across abandoned cycles; the watermark makes re-indexing
+  /// idempotent. Costs one RowId per indexed row.
   FlatHashMap<std::vector<RowId>> finest_rows_;
   size_t finest_rows_indexed_ = 0;
 };

@@ -34,7 +34,7 @@ Result<DryRunResult> RunDryRun(const DatasetView& rows,
                                const KeyPacker& packer, const Lattice& lattice,
                                const LossFunction& loss,
                                const DatasetView& global_sample, double theta,
-                               bool keep_lattice) {
+                               bool keep_present_cells) {
   Stopwatch timer;
   TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
                           loss.Bind(*rows.table(), global_sample));
@@ -48,12 +48,6 @@ Result<DryRunResult> RunDryRun(const DatasetView& rows,
       encoder, packer, rows,
       [&bound](LossState* state, RowId row) { bound->Accumulate(state, row); });
   DryRunResult result;
-  if (keep_lattice) {
-    result.finest_states.reserve(finest.keys.size());
-    for (size_t i = 0; i < finest.keys.size(); ++i) {
-      result.finest_states.TryEmplace(finest.keys[i], finest.states[i]);
-    }
-  }
   result.fold_millis = timer.ElapsedMillis();
 
   const size_t n = lattice.num_attributes();
@@ -174,11 +168,19 @@ Result<DryRunResult> RunDryRun(const DatasetView& rows,
         [&finalize](size_t, size_t begin, size_t end) { finalize(begin, end); },
         /*grain_rows=*/1);
   }
-  if (keep_lattice) {
+  if (keep_present_cells) {
     result.present_cells = FlatHashSet(lattice_cells);
     for (const CuboidCells& c : cells) {
       for (uint64_t key : c.keys) result.present_cells.Insert(key);
     }
+  }
+  // The finest states outlive the run as the engine's maintenance state;
+  // nothing below reads the finest cells, so their states move, not copy.
+  CuboidCells& finest_cells = cells[lattice.finest()];
+  result.finest_states.reserve(finest_cells.keys.size());
+  for (size_t i = 0; i < finest_cells.keys.size(); ++i) {
+    result.finest_states.TryEmplace(finest_cells.keys[i],
+                                    std::move(finest_cells.states[i]));
   }
   for (const CuboidDryRunInfo& info : result.cuboids) {
     result.total_cells += info.total_cells;

@@ -39,10 +39,12 @@ struct DryRunResult {
   double rollup_millis = 0.0;
   double finalize_millis = 0.0;
 
-  /// Filled only when RunDryRun is asked to keep its lattice (a shard
-  /// partition's merge inputs): the finest-cuboid loss states, and every
-  /// non-empty cell key at every lattice level.
+  /// The finest-cuboid loss states (RunDryRun only): the engine keeps
+  /// them as its incremental-maintenance state and a shard partition's
+  /// merge input.
   FlatHashMap<LossState> finest_states;
+  /// Every non-empty cell key at every lattice level; filled only when
+  /// RunDryRun is asked to keep present cells (a shard partition).
   FlatHashSet present_cells;
 };
 
@@ -69,7 +71,7 @@ Result<DryRunResult> RunDryRun(const DatasetView& rows,
                                const KeyPacker& packer, const Lattice& lattice,
                                const LossFunction& loss,
                                const DatasetView& global_sample, double theta,
-                               bool keep_lattice = false);
+                               bool keep_present_cells = false);
 
 }  // namespace tabula
 

@@ -91,11 +91,7 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
   // a loaded partition re-derives them with one dry run over its rows.
   // This mutates maintenance-only members no Query() path reads, so it
   // is safe under the shared lock; the states describe rows [0, n0).
-  for (auto& part : parts_) {
-    if (part->finest_states_.empty() && !part->partition_rows_->empty()) {
-      TABULA_RETURN_NOT_OK(part->FoldPartitionStates());
-    }
-  }
+  for (auto& part : parts_) TABULA_RETURN_NOT_OK(part->EnsureFinestStates());
 
   // Redraw the global sample over the grown table exactly as a
   // from-scratch build would (see the plain engine's PlanIngest for

@@ -1017,7 +1017,9 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
   const double threshold = heatmap_loss
                                ? 0.003 + ctx.rng.UniformDouble(0.0, 0.007)
                                : 0.05 + ctx.rng.UniformDouble(0.0, 0.05);
-  const bool keep_maintenance = ctx.rng.Bernoulli(0.5);
+  // Unused draw (it once chose whether to keep maintenance state), kept
+  // so each seed still replays the op mix it always had.
+  (void)ctx.rng.Bernoulli(0.5);
   auto make_topt = [&]() -> Result<TabulaOptions> {
     TabulaOptions t;
     t.cubed_attributes = ctx.attrs;
@@ -1031,7 +1033,6 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
     t.owned_loss = std::move(loss);
     t.threshold = threshold;
     t.seed = options.seed;
-    t.keep_maintenance_state = keep_maintenance;
     // --spatial: materialize the hierarchical grid over the synthetic
     // x/y columns so range-query ops have a surface to exercise.
     if (options.spatial) {

@@ -33,14 +33,16 @@ class EngineAtK {
 
   static Result<EngineAtK> Load(const Table& table,
                                 const ShardedTabulaOptions& options,
-                                const std::string& path) {
+                                const std::string& path,
+                                bool resume_partial = false) {
     EngineAtK e;
     if (options.num_shards <= 1) {
-      TABULA_ASSIGN_OR_RETURN(e.plain_,
-                              Tabula::Load(table, options.base, path));
+      TABULA_ASSIGN_OR_RETURN(
+          e.plain_, Tabula::Load(table, options.base, path, resume_partial));
     } else {
-      TABULA_ASSIGN_OR_RETURN(e.sharded_,
-                              ShardedTabula::Load(table, options, path));
+      TABULA_ASSIGN_OR_RETURN(
+          e.sharded_,
+          ShardedTabula::Load(table, options, path, resume_partial));
     }
     return e;
   }

@@ -367,7 +367,9 @@ TEST(ParallelForGrainsTest, CoversEveryIndexExactlyOnce) {
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(hits[i].load(), 1u) << "threads=" << threads << " i=" << i;
       }
-      if (n == 0) EXPECT_EQ(calls.load(), 0u) << "fn must not run for n==0";
+      if (n == 0) {
+        EXPECT_EQ(calls.load(), 0u) << "fn must not run for n==0";
+      }
     }
   }
 }

@@ -148,7 +148,6 @@ class FaultSeamTest : public ::testing::Test {
     options_.cubed_attributes = {"c0", "c1"};
     options_.loss = loss_.get();
     options_.threshold = 0.05;
-    options_.keep_maintenance_state = true;
 
     auto t = Tabula::Initialize(*table_, options_);
     ASSERT_TRUE(t.ok()) << t.status().ToString();
@@ -357,7 +356,9 @@ TEST_F(FaultSeamTest, ServerSurfacesInjectedExecuteErrorsDeterministically) {
   for (int i = 0; i < 6; ++i) {
     Result<ServeAnswer> r = server.Query(QueryRequest(where));
     failed.push_back(!r.ok());
-    if (!r.ok()) EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+    }
   }
   std::vector<bool> expected = {false, true, false, true, false, true};
   EXPECT_EQ(failed, expected);

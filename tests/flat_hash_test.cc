@@ -177,7 +177,9 @@ TEST(FlatHashMapTest, CopyAndMoveSemantics) {
   EXPECT_EQ(map.Find(7u)->size(), 5u) << "copy must not alias the source";
   for (uint64_t k = 0; k < 200; ++k) {
     ASSERT_NE(copy.Find(k), nullptr);
-    if (k != 7) EXPECT_EQ((*copy.Find(k))[0], static_cast<int>(k));
+    if (k != 7) {
+      EXPECT_EQ((*copy.Find(k))[0], static_cast<int>(k));
+    }
   }
 
   FlatHashMap<std::vector<int>> moved = std::move(map);

@@ -144,7 +144,6 @@ void RunIngestEquivalence(uint64_t seed) {
   plain_opts.owned_loss = loss;
   plain_opts.threshold = theta;
   plain_opts.seed = seed;
-  plain_opts.keep_maintenance_state = true;
   auto scratch = Tabula::Initialize(*f.table, plain_opts);
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
   const std::vector<uint64_t> oracle_keys = PlainIcebergKeys(*scratch.value());
@@ -243,7 +242,6 @@ TEST(IngestDiff, LargeAppendFractionSeeds) {
     opts.owned_loss = loss;
     opts.threshold = 0.08;
     opts.seed = seed;
-    opts.keep_maintenance_state = true;
     auto scratch = Tabula::Initialize(*f.table, opts);
     ASSERT_TRUE(scratch.ok());
     const std::vector<uint64_t> oracle_keys =

@@ -62,7 +62,6 @@ class IngestFaultTest : public ::testing::Test {
     options_.cubed_attributes = {"payment_type", "rate_code"};
     options_.loss = loss_.get();
     options_.threshold = 0.05;
-    options_.keep_maintenance_state = true;
   }
 
   FaultSpec ErrorSpec() {

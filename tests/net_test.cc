@@ -485,7 +485,9 @@ TEST_P(NetFaultSeamTest, SingleTransportFaultIsRetriedAway) {
   // connection — except for net.accept, which only fires on the dial
   // path a warm pool would skip.
   const bool dial_seam = std::string(GetParam()) == "net.accept";
-  if (!dial_seam) ASSERT_TRUE(client.Query(request).ok());
+  if (!dial_seam) {
+    ASSERT_TRUE(client.Query(request).ok());
+  }
 
   FaultSpec spec;
   spec.every_nth = 1;

@@ -156,7 +156,6 @@ class ObsStackTest : public ::testing::Test {
     options_.cubed_attributes = {"payment_type", "rate_code"};
     options_.owned_loss = std::move(loss).value();
     options_.threshold = 0.05;
-    options_.keep_maintenance_state = true;
   }
 
   std::unique_ptr<Table> table_;

@@ -336,7 +336,6 @@ TEST_P(RefreshGuaranteeProperty, GuaranteeHoldsAfterSkewedAppends) {
   opts.cubed_attributes = {"payment_type", "rate_code"};
   opts.loss = loss.get();
   opts.threshold = theta;
-  opts.keep_maintenance_state = true;
   auto tabula = Tabula::Initialize(*table, opts);
   ASSERT_TRUE(tabula.ok()) << tabula.status().ToString();
 

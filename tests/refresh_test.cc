@@ -30,7 +30,6 @@ class RefreshTest : public ::testing::Test {
     options_.cubed_attributes = {"payment_type", "rate_code"};
     options_.loss = loss_.get();
     options_.threshold = 0.05;
-    options_.keep_maintenance_state = true;
   }
 
   /// Checks the deterministic guarantee on a workload.
@@ -147,17 +146,6 @@ TEST_F(RefreshTest, NewAttributeValueTriggersFullRebuild) {
       {{"payment_type", CompareOp::kEq, Value("Crypto")}}));
   ASSERT_TRUE(answer.ok());
   EXPECT_FALSE(answer->result.empty_cell);
-  VerifyGuarantee(*tabula.value());
-}
-
-TEST_F(RefreshTest, WorksWithoutKeptMaintenanceState) {
-  options_.keep_maintenance_state = false;
-  auto tabula = Tabula::Initialize(*table_, options_);
-  ASSERT_TRUE(tabula.ok());
-  AppendRows(table_.get(), *extra_, 3000);
-  Tabula::RefreshStats stats;
-  ASSERT_TRUE(tabula.value()->Refresh(&stats).ok());
-  EXPECT_EQ(stats.new_rows, 3000u);
   VerifyGuarantee(*tabula.value());
 }
 

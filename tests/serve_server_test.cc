@@ -48,7 +48,6 @@ class QueryServerTest : public ::testing::Test {
     options_.cubed_attributes = {"payment_type", "rate_code"};
     options_.loss = loss_.get();
     options_.threshold = 0.05;
-    options_.keep_maintenance_state = true;
     auto tabula = Tabula::Initialize(*table_, options_);
     ASSERT_TRUE(tabula.ok()) << tabula.status().ToString();
     tabula_ = std::move(tabula).value();
@@ -590,7 +589,6 @@ class ServeIngestTest : public ::testing::Test {
     options_.cubed_attributes = {"payment_type", "rate_code"};
     options_.loss = loss_.get();
     options_.threshold = 0.05;
-    options_.keep_maintenance_state = true;
     auto tabula = Tabula::Initialize(*table_, options_);
     ASSERT_TRUE(tabula.ok()) << tabula.status().ToString();
     tabula_ = std::move(tabula).value();
